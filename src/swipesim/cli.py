@@ -120,15 +120,22 @@ def _load_config(path) -> SessionConfig:
         raise _CliError(f"config {path}: {exc}") from None
 
 
-def _load_catalog(path) -> list[VideoSpec]:
-    data = json.loads(Path(path).read_text())
-    videos = []
-    for entry in data:
-        videos.append(VideoSpec(
+def _video_from_dict(entry: dict, where: str) -> VideoSpec:
+    """One catalog entry; ``where`` names the file and entry in errors."""
+    try:
+        return VideoSpec(
             id=str(entry["id"]), category=str(entry["category"]),
             chunk_count=int(entry["chunk_count"]),
             chunk_duration_s=float(entry["chunk_duration_s"]),
-            ladder=BitrateLadder(tuple(entry["ladder_kbps"]))))
+            ladder=BitrateLadder(tuple(entry["ladder_kbps"])))
+    except KeyError as exc:
+        raise _CliError(f"{where}: missing field {exc.args[0]!r}") from None
+
+
+def _load_catalog(path) -> list[VideoSpec]:
+    data = json.loads(Path(path).read_text())
+    videos = [_video_from_dict(entry, f"catalog {path}: entry {i}")
+              for i, entry in enumerate(data)]
     if not videos:
         raise _CliError(f"catalog {path}: no videos")
     return videos
@@ -145,12 +152,8 @@ def _catalog_to_dicts(videos) -> list[dict]:
 def _load_scripts(path) -> list[SessionScript]:
     data = json.loads(Path(path).read_text())
     by_id = {}
-    for entry in data["catalog"]:
-        spec = VideoSpec(
-            id=str(entry["id"]), category=str(entry["category"]),
-            chunk_count=int(entry["chunk_count"]),
-            chunk_duration_s=float(entry["chunk_duration_s"]),
-            ladder=BitrateLadder(tuple(entry["ladder_kbps"])))
+    for i, entry in enumerate(data["catalog"]):
+        spec = _video_from_dict(entry, f"scripts {path}: catalog entry {i}")
         by_id[spec.id] = spec
     scripts = []
     for entry in data["scripts"]:
@@ -206,7 +209,8 @@ def _load_trace_dir(path) -> list[TraceRef]:
     refs = []
     for f in files:
         trace = parse_throughput_trace(f.read_text())
-        scenario = next((k for k in SCENARIO_KINDS if k in f.stem), "custom")
+        tokens = f.stem.split("_")
+        scenario = next((k for k in SCENARIO_KINDS if k in tokens), "custom")
         refs.append(TraceRef(trace_id=f.stem, scenario=scenario, trace=trace))
     return refs
 
@@ -276,27 +280,19 @@ def cmd_gen(args) -> int:
 
 
 def _resolve_models(args, behavior):
+    """The per-category models, or the one ``--model`` that the engine then
+    applies to every category."""
     if getattr(args, "model", None):
-        model = model_from_json(Path(args.model).read_text())
-        return {model.category: model}, True
+        return model_from_json(Path(args.model).read_text())
     grouped = _group_by_category(behavior)
-    return {cat: build_model(traces, cat) for cat, traces in grouped.items()}, False
-
-
-class _SingleModelLookup(dict):
-    """Fall back to the single provided model for unknown categories."""
-
-    def __missing__(self, key):
-        return next(iter(self.values()))
+    return {cat: build_model(traces, cat) for cat, traces in grouped.items()}
 
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     strategy = make_strategy(args.strategy, args.fixb_current, args.fixb_next)
     behavior = _build_behavior(args)
-    models, single = _resolve_models(args, behavior)
-    if single:
-        models = _SingleModelLookup(models)
+    models = _resolve_models(args, behavior)
     scripts = _build_scripts(args, behavior, n_scripts=1)
     traces = _build_traces(args, [args.scenario], n_traces=1,
                            duration_s=args.duration)
@@ -339,9 +335,7 @@ def cmd_compare(args) -> int:
     strategies = [make_strategy(n, args.fixb_current, args.fixb_next)
                   for n in strategy_names]
     behavior = _build_behavior(args)
-    models, single = _resolve_models(args, behavior)
-    if single:
-        models = _SingleModelLookup(models)
+    models = _resolve_models(args, behavior)
     scripts = _build_scripts(args, behavior, args.n_scripts)
     traces = _build_traces(args, scenarios, args.n_traces, args.duration)
 

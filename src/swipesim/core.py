@@ -10,8 +10,10 @@ chunks are indexed 1-based within a video.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+
+from .throughput import ThroughputHistory
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,13 @@ class BitrateLadder:
         return self.levels[-1]
 
 
+def chunk_kbit(bitrate_kbps, duration_s):
+    """Size of one chunk in kilobits; an int when the product is integral."""
+    size = bitrate_kbps * duration_s
+    isize = int(size)
+    return isize if size == isize else size
+
+
 @dataclass(frozen=True)
 class VideoSpec:
     """One recommended video, cut into equal-duration chunks."""
@@ -81,17 +90,15 @@ class VideoSpec:
             raise ValueError(f"video {self.id}: chunk_duration_s must be > 0")
 
     def chunk_size_kbit(self, bitrate_kbps):
-        size = bitrate_kbps * self.chunk_duration_s
-        isize = int(size)
-        return isize if size == isize else size
+        return chunk_kbit(bitrate_kbps, self.chunk_duration_s)
 
 
 @dataclass(frozen=True, slots=True)
 class ChunkRef:
     """A single downloadable chunk: video position, chunk number, bitrate.
 
-    Build through :meth:`create` so the reference is validated against the
-    video it points into.
+    :meth:`create` validates the reference against the video it points
+    into; the engine checks strategy requests against the live players.
     """
 
     video_index: int
@@ -188,22 +195,21 @@ class SessionConfig:
 
     def __post_init__(self):
         for name in ("w1", "w2", "w3", "w4", "alpha1", "alpha2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0 < self.gamma1 < self.gamma2 <= 1:
             raise ValueError("need 0 < gamma1 < gamma2 <= 1")
         for name in ("p_th_early", "p_th_long"):
             v = getattr(self, name)
             if not 0 < v < 1:
                 raise ValueError(f"{name} must lie in (0, 1)")
-        if self.b0_startup_chunks < 1:
-            raise ValueError("b0_startup_chunks must be >= 1")
-        if self.t_sleep_s <= 0:
-            raise ValueError("t_sleep_s must be > 0")
-        if self.n_pred < 2:
-            raise ValueError("n_pred must be >= 2")
-        if self.window_chunks < 1:
-            raise ValueError("window_chunks must be >= 1")
+        for name, low in (("b0_startup_chunks", 1), ("n_pred", 2),
+                          ("window_chunks", 1)):
+            v = getattr(self, name)
+            if not isinstance(v, int) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
+        if not 0 < self.t_sleep_s < math.inf:
+            raise ValueError("t_sleep_s must be finite and > 0")
         if self.quality_metric not in ("linear", "log"):
             raise ValueError("quality_metric must be 'linear' or 'log'")
 
@@ -224,7 +230,7 @@ class SessionState:
     play_chunk: int = 1
     chunk_begin_s: float = 0.0
     rebuffering: dict[tuple[int, int], float] = field(default_factory=dict)
-    throughput_history: Optional[object] = None
+    throughput_history: ThroughputHistory = field(default_factory=ThroughputHistory)
 
     @property
     def playback_position_s(self) -> float:

@@ -33,7 +33,7 @@ from . import metrics
 from .core import PlayerBuffer, SessionConfig, SessionState, VideoSpec
 from .retention import RetentionModel, derive_thresholds, swipe_cdf
 from .strategy import Download, PlayerView, Sleep, StrategyContext
-from .throughput import ThroughputHistory
+from .throughput import ThroughputHistory, min_smooth_throughput
 from .trace_io import ThroughputTrace, download_finish_time
 
 
@@ -171,7 +171,6 @@ class _Simulation:
             self.views.append(PlayerView(
                 spec=spec, video_index=i, downloaded=0, buffered=0,
                 is_current=False, thresholds=thresholds, swipe_cdf=cdf))
-        self.r_last: Optional[int] = None
         self.total_rebuffer = 0.0
         self.rebuffer_marker = 0.0
         self.done = False
@@ -205,10 +204,10 @@ class _Simulation:
         self._ctx.players = window
         # worst-case smooth-playback bound, taken at the conservative
         # lowest rung for both the current chunk and the startup chunks
-        cur_ladder = window[0].ladder
-        next_ladder = window[1].ladder if len(window) > 1 else cur_ladder
-        self._ctx.c_min = (cur_ladder.lowest
-                           + self.config.b0_startup_chunks * next_ladder.lowest)
+        b0 = self.config.b0_startup_chunks
+        cur = window[0].ladder.lowest
+        nxt = window[1].ladder.lowest if len(window) > 1 else cur
+        self._ctx.c_min = min_smooth_throughput(cur, [nxt] * b0, b0)
 
     def _emit(self, event):
         if self.timeline is not None:
@@ -224,7 +223,8 @@ class _Simulation:
 
     def _build_ctx(self) -> StrategyContext:
         st = self.state
-        view = self._ctx.players[0]
+        ctx = self._ctx
+        view = ctx.players[0]
         n = view.downloaded
         if st.playback_started:
             view.buffered = n - (st.play_chunk - 1)
@@ -236,16 +236,6 @@ class _Simulation:
         else:
             view.buffered = n
             view.lead = float(n)
-        ctx = self._ctx
-        history = st.throughput_history
-        if history.window:
-            c_ave = history.window_mean()
-            ctx.c_ave = c_ave
-            ctx.c_pred = (self.config.alpha1 * c_ave
-                          + self.config.alpha2 * history.last_sample_kbps)
-        else:
-            ctx.c_ave = ctx.c_pred = None
-        ctx.r_last = self.r_last
         ctx.rebuffer_flag = self.total_rebuffer > self.rebuffer_marker
         return ctx
 
@@ -336,8 +326,13 @@ class _Simulation:
         st = self.state
         buf = st.players[ref.video_index]
         buf.record_download(ref.chunk_index, ref.bitrate_kbps)
-        st.throughput_history.record_download(size_kbit, elapsed_s)
-        self.r_last = ref.bitrate_kbps
+        history = st.throughput_history
+        history.record_download(size_kbit, elapsed_s)
+        # the estimates change only when a download lands, so set them here
+        ctx = self._ctx
+        ctx.c_ave = history.window_mean()
+        ctx.c_pred = history.predict(self.config.alpha1, self.config.alpha2)
+        ctx.r_last = ref.bitrate_kbps
         if self._win_lo <= ref.video_index < self._win_hi:
             view = self.views[ref.video_index]
             n = buf.downloaded_count

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import chunk_kbit
+
 
 @dataclass(frozen=True)
 class QoEWeights:
@@ -51,12 +53,7 @@ def qoe_video(watched_bitrates: Sequence, rebuffer_s: Sequence,
 
 def total_kilobits(bitrates: Sequence, t0_s):
     """Sum of chunk sizes in kilobits; stays an int for integral sizes."""
-    total = 0
-    for r in bitrates:
-        size = r * t0_s
-        isize = int(size)
-        total += isize if size == isize else size
-    return total
+    return sum(chunk_kbit(r, t0_s) for r in bitrates)
 
 
 def cost_video(downloaded_bitrates: Sequence, t0_s) -> float:

@@ -35,14 +35,12 @@ the channel covers the smooth-playback bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Union
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Optional, Union
 
 from .core import BitrateLadder, ChunkRef, SessionConfig, VideoSpec
 from .retention import RetentionThresholds
 from .throughput import Regime, classify_regime
-
-STRATEGY_NAMES = ("dtaap", "fixb", "nextone", "network", "pdas_lite")
 
 NETWORK_REGIME_THRESHOLDS = {
     Regime.AMPLE: (2, 1),
@@ -142,8 +140,7 @@ class StrategyContext:
 
 def _download(player: PlayerView, bitrate: int,
               threshold: Optional[float] = None) -> Download:
-    ref = ChunkRef.create(player.video_index, player.next_needed, bitrate,
-                          player.spec)
+    ref = ChunkRef(player.video_index, player.next_needed, bitrate)
     return Download(ref, buffered=player.buffered, threshold=threshold)
 
 
@@ -213,6 +210,12 @@ def _swipe_imminent(ctx: StrategyContext) -> bool:
     model, compared against the majority-outcome cutoff. While the hazard
     is high the bandwidth reserves that protect the swipe transition stay
     engaged; once the viewer is in a committed stretch they are released.
+
+    Reads the view's cdf rather than calling
+    ``retention.conditional_swipe_probability``: past the last swipe mass
+    the cdf's rounding leaves a remainder near 1e-16 and the hazard here
+    reads 0, where that function returns 1. Switching would change
+    decisions, and with them every compared output.
     """
     cur = ctx.players[0]
     k = min(max(cur.downloaded - cur.buffered + 1, 1), cur.chunk_count)
@@ -391,54 +394,27 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
     return Sleep(ctx.config.t_sleep_s)
 
 
-class DtaapStrategy:
-    name = "dtaap"
-
-    def decide(self, ctx: StrategyContext) -> Action:
-        return dtaap_decide(ctx)
+class Strategy(NamedTuple):
+    name: str
+    decide: Callable[[StrategyContext], Action]
 
 
-@dataclass
-class FixBStrategy:
-    current_chunks: int = 4
-    next_chunks: int = 2
-    name: str = "fixb"
+_DECIDERS = {
+    "dtaap": dtaap_decide,
+    "fixb": fixb_decide,
+    "nextone": nextone_decide,
+    "network": networkbased_decide,
+    "pdas_lite": pdas_lite_decide,
+}
 
-    def decide(self, ctx: StrategyContext) -> Action:
-        return fixb_decide(ctx, self.current_chunks, self.next_chunks)
-
-
-class NextOneStrategy:
-    name = "nextone"
-
-    def decide(self, ctx: StrategyContext) -> Action:
-        return nextone_decide(ctx)
+STRATEGY_NAMES = tuple(_DECIDERS)
 
 
-class NetworkBasedStrategy:
-    name = "network"
-
-    def decide(self, ctx: StrategyContext) -> Action:
-        return networkbased_decide(ctx)
-
-
-class PdasLiteStrategy:
-    name = "pdas_lite"
-
-    def decide(self, ctx: StrategyContext) -> Action:
-        return pdas_lite_decide(ctx)
-
-
-def make_strategy(name: str, fixb_current: int = 4, fixb_next: int = 2):
-    """Build a strategy by its public name."""
-    if name == "dtaap":
-        return DtaapStrategy()
+def make_strategy(name: str, fixb_current: int = 4, fixb_next: int = 2) -> Strategy:
+    """Build a strategy by its public name: a ``(name, decide)`` pair."""
+    if name not in _DECIDERS:
+        raise ValueError(f"unknown strategy {name!r}; valid names: {', '.join(STRATEGY_NAMES)}")
     if name == "fixb":
-        return FixBStrategy(fixb_current, fixb_next)
-    if name == "nextone":
-        return NextOneStrategy()
-    if name == "network":
-        return NetworkBasedStrategy()
-    if name == "pdas_lite":
-        return PdasLiteStrategy()
-    raise ValueError(f"unknown strategy {name!r}; valid names: {', '.join(STRATEGY_NAMES)}")
+        return Strategy(name, partial(fixb_decide, b_current=fixb_current,
+                                      b_next=fixb_next))
+    return Strategy(name, _DECIDERS[name])

@@ -18,15 +18,17 @@ class Regime(str, Enum):
 
 
 class ThroughputHistory:
-    """Rolling window of per-chunk average download throughputs, in kbps."""
+    """Rolling window of per-chunk average download throughputs, in kbps;
+    the mean is computed once per recorded download, when the window moves."""
 
-    __slots__ = ("window", "last_sample_kbps")
+    __slots__ = ("window", "last_sample_kbps", "_mean")
 
     def __init__(self, window_chunks: int = 5):
         if window_chunks < 1:
             raise ValueError("window must hold at least one sample")
         self.window: deque = deque(maxlen=window_chunks)
         self.last_sample_kbps = None
+        self._mean = None
 
     def __len__(self) -> int:
         return len(self.window)
@@ -36,19 +38,21 @@ class ThroughputHistory:
         if elapsed_s <= 0:
             raise ValueError("elapsed time must be positive")
         sample = chunk_size_kbit / elapsed_s
-        self.window.append(sample)
+        window = self.window
+        window.append(sample)
         self.last_sample_kbps = sample
+        self._mean = sum(window) / len(window)
 
     def window_mean(self):
-        if not self.window:
+        if self._mean is None:
             raise ValueError("no throughput samples recorded yet")
-        return sum(self.window) / len(self.window)
+        return self._mean
 
     def predict(self, alpha1: float, alpha2: float):
         """Blend of windowed mean and last-chunk rate, in kbps."""
-        if not self.window:
+        if self._mean is None:
             raise ValueError("no throughput samples recorded yet")
-        return alpha1 * self.window_mean() + alpha2 * self.last_sample_kbps
+        return alpha1 * self._mean + alpha2 * self.last_sample_kbps
 
 
 def min_smooth_throughput(current_first_bitrate, next_video_bitrates, b0: int):

@@ -2,9 +2,9 @@
 piecewise-constant channel model.
 
 Throughput CSV: header ``timestamp_s,bandwidth_kbps`` (header optional on
-input), one sample per row, timestamps strictly increasing from 0. The
-bandwidth holds constant from each timestamp until the next; the final
-sample extends forever.
+input), one sample per row, finite timestamps strictly increasing from 0,
+finite non-negative bandwidths. The bandwidth holds constant from each
+timestamp until the next; the final sample extends forever.
 
 Behavior CSV: header ``trace_id,category,total_chunks,swipe_chunk``.
 """
@@ -48,12 +48,13 @@ class ThroughputTrace:
             raise ValueError("trace must contain at least one sample")
         if samples[0][0] != 0:
             raise ValueError("trace must start at timestamp 0")
-        prev = None
+        inf = math.inf
+        prev = -inf
         for t, bw in samples:
-            if prev is not None and t <= prev:
-                raise ValueError("trace timestamps must be strictly increasing")
-            if bw < 0:
-                raise ValueError("bandwidth must be non-negative")
+            if not prev < t < inf:
+                raise ValueError("trace timestamps must be finite and strictly increasing")
+            if not 0 <= bw < inf:
+                raise ValueError("bandwidth must be finite and non-negative")
             prev = t
         object.__setattr__(self, "_starts", tuple(t for t, _ in samples))
 
@@ -69,6 +70,8 @@ class ThroughputTrace:
 def parse_throughput_trace(text: str) -> ThroughputTrace:
     """Parse a throughput CSV (see module docstring for the format)."""
     samples = []
+    inf = math.inf
+    prev = -inf
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -83,11 +86,13 @@ def parse_throughput_trace(text: str) -> ThroughputTrace:
             t, bw = float(parts[0]), float(parts[1])
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-numeric field") from None
-        if bw < 0:
-            raise TraceFormatError(f"line {lineno}: negative bandwidth")
-        if samples and t <= samples[-1][0]:
-            raise TraceFormatError(f"line {lineno}: timestamps must be strictly increasing")
+        if not 0 <= bw < inf:
+            raise TraceFormatError(f"line {lineno}: bandwidth must be finite and non-negative")
+        if not prev < t < inf:
+            raise TraceFormatError(
+                f"line {lineno}: timestamps must be finite and strictly increasing")
         samples.append((t, bw))
+        prev = t
     if not samples:
         raise TraceFormatError("empty trace")
     if samples[0][0] != 0:

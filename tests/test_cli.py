@@ -1,10 +1,15 @@
+import hashlib
 import json
 
 import pytest
 
-from swipesim.cli import main
-from swipesim.retention import model_from_json
-from swipesim.trace_io import parse_throughput_trace
+from swipesim.cli import _load_trace_dir, default_behavior, main
+from swipesim.retention import build_model, model_from_json, model_to_json
+from swipesim.trace_io import (
+    generate_scenario,
+    parse_throughput_trace,
+    serialize_throughput_trace,
+)
 
 
 def run_cli(*argv):
@@ -63,6 +68,19 @@ class TestGen:
 
 
 class TestRun:
+    def test_single_model_covers_every_category(self, tmp_path):
+        # the default catalog has two categories; --model supplies one
+        model = tmp_path / "retention_quick.json"
+        model.write_text(model_to_json(build_model(default_behavior(0), "quick")))
+        assert run_cli("run", "--seed", "5", "--duration", "60",
+                       "--model", str(model), "--out", str(tmp_path / "run")) == 0
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--strategy", "dtaap", "--scenario", "high",
+                       "--seed", "5", "--n-scripts", "2", "--n-traces", "1",
+                       "--duration", "60", "--model", str(model),
+                       "--out", str(out)) == 0
+        assert len((out / "sessions.csv").read_text().splitlines()) == 1 + 2
+
     def test_emits_session_json(self, tmp_path, capsys):
         assert run_cli("run", "--strategy", "dtaap", "--scenario", "high",
                        "--seed", "5", "--duration", "120") == 0
@@ -148,3 +166,43 @@ class TestCompare:
         cfg.write_text(json.dumps({"gamma1": 0.9, "gamma2": 0.2}))
         assert run_cli("compare", "--strategy", "fixb", "--config", str(cfg),
                        "--out", str(tmp_path / "x")) == 1
+
+    def test_golden_output(self, tmp_path):
+        # pins the simulated output: any change to a decision or a score
+        # of any strategy changes these digests
+        out = tmp_path / "out"
+        assert run_cli("compare", "--seed", "11", "--n-scripts", "6",
+                       "--n-traces", "4", "--out", str(out)) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("sessions.csv", "aggregates.csv")}
+        assert digests == {
+            "sessions.csv":
+                "650eae1418cfb692a72c8e9ca8d08863cb2c495765822e6577c273b0cf3f9e71",
+            "aggregates.csv":
+                "bcb650d3a6f60ea8f875ae9ed38f74ed70995d13a815138a067c5832fc2d9ccf",
+        }
+
+    @pytest.mark.parametrize("option", ["--catalog", "--scripts"])
+    def test_missing_video_field_names_file_entry_and_field(
+            self, tmp_path, capsys, option):
+        entry = {"id": "v0", "chunk_count": 10, "chunk_duration_s": 1.0,
+                 "ladder_kbps": [750, 1200]}
+        data = [entry] if option == "--catalog" else {
+            "catalog": [entry],
+            "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]}]}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                       "--n-scripts", "1", "--n-traces", "1", "--duration", "60",
+                       option, str(path), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "entry 0" in err and "'category'" in err
+
+
+def test_trace_dir_labels_scenario_by_whole_token(tmp_path):
+    text = serialize_throughput_trace(generate_scenario("high", 1, 10))
+    for stem in ("trace_highway_lowband", "trace_low_s9_000", "medium_03"):
+        (tmp_path / f"{stem}.csv").write_text(text)
+    labels = {ref.trace_id: ref.scenario for ref in _load_trace_dir(tmp_path)}
+    assert labels == {"trace_highway_lowband": "custom",
+                      "trace_low_s9_000": "low", "medium_03": "medium"}

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from swipesim.core import (
@@ -124,6 +126,9 @@ class TestSessionConfig:
         {"n_pred": 1},
         {"t_sleep_s": 0.0},
         {"quality_metric": "vmaf"},
+        {"w4": math.nan},
+        {"t_sleep_s": math.inf},
+        {"b0_startup_chunks": 1.5},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -50,6 +50,14 @@ class TestParseThroughput:
         with pytest.raises(TraceFormatError):
             parse_throughput_trace("0,-5")
 
+    @pytest.mark.parametrize("text", [
+        "0,100\n1,nan\n", "0,100\n1,inf\n",
+        "0,100\nnan,200\n", "0,100\ninf,200\n",
+    ], ids=["bw-nan", "bw-inf", "t-nan", "t-inf"])
+    def test_non_finite_reports_line(self, text):
+        with pytest.raises(TraceFormatError, match="line 2"):
+            parse_throughput_trace(text)
+
     def test_empty(self):
         with pytest.raises(TraceFormatError):
             parse_throughput_trace("")
@@ -201,3 +209,11 @@ class TestTraceInvariants:
             ThroughputTrace(((0.0, 100.0), (0.0, 50.0)))
         with pytest.raises(ValueError):
             ThroughputTrace(((0.0, -1.0),))
+
+    @pytest.mark.parametrize("samples", [
+        ((0.0, math.nan),), ((0.0, math.inf),),
+        ((0.0, 100.0), (math.nan, 50.0)), ((0.0, 100.0), (math.inf, 50.0)),
+    ], ids=["bw-nan", "bw-inf", "t-nan", "t-inf"])
+    def test_rejects_non_finite(self, samples):
+        with pytest.raises(ValueError):
+            ThroughputTrace(samples)

@@ -122,6 +122,8 @@ def _load_config(path) -> SessionConfig:
 
 def _video_from_dict(entry: dict, where: str) -> VideoSpec:
     """One catalog entry; ``where`` names the file and entry in errors."""
+    if not isinstance(entry, dict):
+        raise _CliError(f"{where}: expected a JSON object")
     try:
         return VideoSpec(
             id=str(entry["id"]), category=str(entry["category"]),
@@ -130,6 +132,8 @@ def _video_from_dict(entry: dict, where: str) -> VideoSpec:
             ladder=BitrateLadder(tuple(entry["ladder_kbps"])))
     except KeyError as exc:
         raise _CliError(f"{where}: missing field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise _CliError(f"{where}: {exc}") from None
 
 
 def _load_catalog(path) -> list[VideoSpec]:
@@ -156,7 +160,11 @@ def _load_scripts(path) -> list[SessionScript]:
         spec = _video_from_dict(entry, f"scripts {path}: catalog entry {i}")
         by_id[spec.id] = spec
     scripts = []
-    for entry in data["scripts"]:
+    for i, entry in enumerate(data["scripts"]):
+        unknown = [vid for vid in entry["videos"] if vid not in by_id]
+        if unknown:
+            raise _CliError(f"scripts {path}: script {i}: video id "
+                            f"{unknown[0]!r} is not in its catalog")
         videos = tuple(by_id[vid] for vid in entry["videos"])
         scripts.append(SessionScript(
             script_id=str(entry["id"]), videos=videos,

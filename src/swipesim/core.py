@@ -126,6 +126,9 @@ class PlayerBuffer:
 
     Chunks are always downloaded in order, so the record is a contiguous
     prefix of the video: chunk k is present iff k <= downloaded_count.
+    :meth:`record_download` checks each chunk for library callers; the
+    engine validates simulated downloads once, when the strategy issues
+    them, and appends to ``bitrates`` directly.
     """
 
     __slots__ = ("video_index", "spec", "bitrates")

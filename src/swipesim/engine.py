@@ -163,6 +163,9 @@ class _Simulation:
         self.n_videos = len(script.videos)
         self.state = SessionState(throughput_history=ThroughputHistory(config.window_chunks))
         self.views: list[PlayerView] = []
+        # per video, the size of one chunk at each ladder rung; doubles as
+        # the ladder check on strategy requests
+        self._chunk_kbit: list[dict] = []
         for i, spec in enumerate(script.videos):
             self.state.players.append(PlayerBuffer(i, spec))
             thresholds, cdf = _video_profile(
@@ -171,10 +174,13 @@ class _Simulation:
             self.views.append(PlayerView(
                 spec=spec, video_index=i, downloaded=0, buffered=0,
                 is_current=False, thresholds=thresholds, swipe_cdf=cdf))
+            self._chunk_kbit.append({r: spec.chunk_size_kbit(r)
+                                     for r in spec.ladder.levels})
         self.total_rebuffer = 0.0
         self.rebuffer_marker = 0.0
         self.done = False
         self.end_t = 0.0
+        # events and the set of played chunks are kept only when recording
         self.timeline: Optional[list] = [] if record_timeline else None
         self._played: set = set()
         self._win_lo = 0
@@ -194,7 +200,7 @@ class _Simulation:
         for i in range(self._win_lo, self._win_hi):
             view = self.views[i]
             buf = st.players[i]
-            n = buf.downloaded_count
+            n = len(buf.bitrates)
             view.downloaded = n
             view.is_current = i == st.current_index
             view.last_bitrate = buf.bitrates[-1] if n else None
@@ -209,15 +215,13 @@ class _Simulation:
         nxt = window[1].ladder.lowest if len(window) > 1 else cur
         self._ctx.c_min = min_smooth_throughput(cur, [nxt] * b0, b0)
 
-    def _emit(self, event):
-        if self.timeline is not None:
-            self.timeline.append(event)
-
     def _emit_play(self):
+        """Record the start of the playhead chunk, once per chunk; call only
+        while recording."""
         key = (self.state.current_index, self.state.play_chunk)
         if key not in self._played:
             self._played.add(key)
-            self._emit(("play", self.state.wall_clock_s) + key)
+            self.timeline.append(("play", self.state.wall_clock_s) + key)
 
     # -- decision points --------------------------------------------------
 
@@ -239,22 +243,26 @@ class _Simulation:
         ctx.rebuffer_flag = self.total_rebuffer > self.rebuffer_marker
         return ctx
 
-    def _validate_download(self, action: Download):
-        ref = action.chunk
-        if not self._win_lo <= ref.video_index < self._win_hi:
+    def _validate_download(self, ref):
+        """The one check of a strategy's download request against the live
+        players; returns the chunk's size in kilobits."""
+        vi = ref.video_index
+        if not self._win_lo <= vi < self._win_hi:
             raise SimulationError(
-                f"strategy targeted video {ref.video_index} outside the window")
-        buf = self.state.players[ref.video_index]
-        if buf.is_complete:
-            raise SimulationError(
-                f"strategy targeted completed video {ref.video_index}")
-        if ref.chunk_index != buf.next_needed:
+                f"strategy targeted video {vi} outside the window")
+        buf = self.state.players[vi]
+        n = len(buf.bitrates)
+        if n >= buf.spec.chunk_count:
+            raise SimulationError(f"strategy targeted completed video {vi}")
+        if ref.chunk_index != n + 1:
             raise SimulationError(
                 f"strategy requested chunk {ref.chunk_index} of video "
-                f"{ref.video_index}, next needed is {buf.next_needed}")
-        if ref.bitrate_kbps not in buf.spec.ladder:
+                f"{vi}, next needed is {n + 1}")
+        try:
+            return self._chunk_kbit[vi][ref.bitrate_kbps]
+        except (KeyError, TypeError):
             raise SimulationError(
-                f"strategy picked off-ladder bitrate {ref.bitrate_kbps}")
+                f"strategy picked off-ladder bitrate {ref.bitrate_kbps}") from None
 
     # -- playback ----------------------------------------------------------
 
@@ -269,16 +277,20 @@ class _Simulation:
     def _advance(self, until: float):
         """Run playback forward to ``until`` against the frozen buffers."""
         st = self.state
+        players = st.players
+        swipe_points = self.script.swipe_points
+        recording = self.timeline is not None
         while st.wall_clock_s < until and not self.done:
-            buf = st.players[st.current_index]
+            buf = players[st.current_index]
             spec = buf.spec
-            n = buf.downloaded_count
+            n = len(buf.bitrates)
             if not st.playback_started:
                 if n >= min(self.config.b0_startup_chunks, spec.chunk_count):
                     st.playback_started = True
                     st.play_chunk = 1
                     st.chunk_begin_s = st.wall_clock_s
-                    self._emit_play()
+                    if recording:
+                        self._emit_play()
                     continue
                 if st.current_index > 0:
                     self._stall(1, until - st.wall_clock_s)
@@ -293,39 +305,36 @@ class _Simulation:
                 st.wall_clock_s = until
                 return
             st.wall_clock_s = end_t
-            if st.play_chunk == self.script.swipe_points[st.current_index]:
+            if st.play_chunk == swipe_points[st.current_index]:
                 self._swipe()
             else:
                 st.play_chunk += 1
                 st.chunk_begin_s = end_t
-                if st.play_chunk <= n:
+                if recording and st.play_chunk <= n:
                     self._emit_play()
 
     def _swipe(self):
         st = self.state
-        self._emit(("swipe", st.wall_clock_s, st.current_index))
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.append(("swipe", st.wall_clock_s, st.current_index))
         st.current_index += 1
         if st.current_index >= self.n_videos:
             self.done = True
             self.end_t = st.wall_clock_s
-            self._emit(("end", st.wall_clock_s))
+            if timeline is not None:
+                timeline.append(("end", st.wall_clock_s))
             return
         st.playback_started = False
         st.play_chunk = 1
         self._rebuild_window()
 
-    def _next_play_event(self) -> float:
-        st = self.state
-        if not st.playback_started:
-            return math.inf
-        if st.play_chunk > st.players[st.current_index].downloaded_count:
-            return math.inf
-        return st.chunk_begin_s + st.players[st.current_index].spec.chunk_duration_s
-
     def _apply_download(self, ref, size_kbit, elapsed_s):
         st = self.state
-        buf = st.players[ref.video_index]
-        buf.record_download(ref.chunk_index, ref.bitrate_kbps)
+        vi = ref.video_index
+        buf = st.players[vi]
+        # checked when the strategy issued it, by _validate_download
+        buf.bitrates.append(ref.bitrate_kbps)
         history = st.throughput_history
         history.record_download(size_kbit, elapsed_s)
         # the estimates change only when a download lands, so set them here
@@ -333,59 +342,67 @@ class _Simulation:
         ctx.c_ave = history.window_mean()
         ctx.c_pred = history.predict(self.config.alpha1, self.config.alpha2)
         ctx.r_last = ref.bitrate_kbps
-        if self._win_lo <= ref.video_index < self._win_hi:
-            view = self.views[ref.video_index]
-            n = buf.downloaded_count
+        if self._win_lo <= vi < self._win_hi:
+            view = self.views[vi]
+            n = len(buf.bitrates)
             view.downloaded = n
             view.last_bitrate = ref.bitrate_kbps
             if not view.is_current:
                 view.buffered = n
                 view.lead = float(n)
-        self._emit(("dl_done", st.wall_clock_s, ref.video_index, ref.chunk_index))
-        if (st.playback_started and ref.video_index == st.current_index
+        timeline = self.timeline
+        if timeline is not None:
+            timeline.append(("dl_done", st.wall_clock_s, vi, ref.chunk_index))
+        if (st.playback_started and vi == st.current_index
                 and ref.chunk_index == st.play_chunk):
             st.chunk_begin_s = st.wall_clock_s
-            self._emit_play()
+            if timeline is not None:
+                self._emit_play()
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SessionResult:
         st = self.state
-        in_flight = None
+        players = st.players
+        trace = self.trace
+        timeline = self.timeline
+        decide = self.strategy.decide
+        build_ctx = self._build_ctx
+        advance = self._advance
+        finish_time = download_finish_time
         while not self.done:
-            if in_flight is None:
-                ctx = self._build_ctx()
-                action = self.strategy.decide(ctx)
-                self.rebuffer_marker = self.total_rebuffer
-                if isinstance(action, Download):
-                    self._validate_download(action)
-                    ref = action.chunk
-                    spec = st.players[ref.video_index].spec
-                    size = spec.chunk_size_kbit(ref.bitrate_kbps)
-                    finish = download_finish_time(self.trace, st.wall_clock_s, size)
-                    if math.isinf(finish):
-                        raise StarvationError(ref.video_index, ref.chunk_index,
-                                              st.wall_clock_s)
-                    self._emit(("dl_start", st.wall_clock_s, ref.video_index,
-                                ref.chunk_index, ref.bitrate_kbps,
-                                action.buffered, action.threshold))
-                    in_flight = (ref, size, st.wall_clock_s, finish)
-                    continue
-                if not isinstance(action, Sleep) or action.duration_s <= 0:
-                    raise SimulationError(f"invalid strategy action {action!r}")
-                wake = st.wall_clock_s + action.duration_s
-                nxt = self._next_play_event()
-                if nxt < wake:
-                    wake = nxt
-                self._emit(("sleep", st.wall_clock_s, wake))
-                self._advance(wake)
+            action = decide(build_ctx())
+            self.rebuffer_marker = self.total_rebuffer
+            now = st.wall_clock_s
+            if isinstance(action, Download):
+                ref = action.chunk
+                size = self._validate_download(ref)
+                finish = finish_time(trace, now, size)
+                if math.isinf(finish):
+                    raise StarvationError(ref.video_index, ref.chunk_index, now)
+                if timeline is not None:
+                    timeline.append(("dl_start", now, ref.video_index,
+                                     ref.chunk_index, ref.bitrate_kbps,
+                                     action.buffered, action.threshold))
+                # non-preemptive: play out the flight, then land the chunk
+                advance(finish)
+                if self.done:
+                    break
+                self._apply_download(ref, size, finish - now)
                 continue
-            ref, size, t0, finish = in_flight
-            self._advance(finish)
-            if self.done:
-                break
-            self._apply_download(ref, size, finish - t0)
-            in_flight = None
+            if not isinstance(action, Sleep) or action.duration_s <= 0:
+                raise SimulationError(f"invalid strategy action {action!r}")
+            # wake at the sleep interval or the next chunk-playback boundary
+            wake = now + action.duration_s
+            if st.playback_started:
+                buf = players[st.current_index]
+                if st.play_chunk <= len(buf.bitrates):
+                    nxt = st.chunk_begin_s + buf.spec.chunk_duration_s
+                    if nxt < wake:
+                        wake = nxt
+            if timeline is not None:
+                timeline.append(("sleep", now, wake))
+            advance(wake)
         return self._result()
 
     def _result(self) -> SessionResult:

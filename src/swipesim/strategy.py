@@ -34,7 +34,7 @@ the channel covers the smooth-playback bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -92,6 +92,7 @@ class PlayerView:
     for a recommended player) and drives the prefetch-depth thresholds.
     ``lead`` is the same quantity minus the consumed fraction of the
     on-screen chunk; the bitrate controller's occupancy tests use it.
+    ``chunk_count`` and ``ladder`` are copied from ``spec`` on construction.
     """
 
     spec: VideoSpec
@@ -103,14 +104,12 @@ class PlayerView:
     swipe_cdf: tuple[float, ...]
     last_bitrate: Optional[int] = None
     lead: float = 0.0
+    chunk_count: int = field(init=False, repr=False, compare=False)
+    ladder: BitrateLadder = field(init=False, repr=False, compare=False)
 
-    @property
-    def chunk_count(self) -> int:
-        return self.spec.chunk_count
-
-    @property
-    def ladder(self) -> BitrateLadder:
-        return self.spec.ladder
+    def __post_init__(self):
+        self.chunk_count = self.spec.chunk_count
+        self.ladder = self.spec.ladder
 
     @property
     def next_needed(self) -> int:
@@ -118,7 +117,7 @@ class PlayerView:
 
     @property
     def complete(self) -> bool:
-        return self.downloaded >= self.spec.chunk_count
+        return self.downloaded >= self.chunk_count
 
 
 @dataclass(slots=True)
@@ -188,7 +187,7 @@ def _startup_reserve(ctx: StrategyContext) -> float:
     startup chunks."""
     b0 = ctx.config.b0_startup_chunks
     for p in ctx.players[1:]:
-        if not p.complete and p.downloaded < min(b0, p.chunk_count):
+        if p.downloaded < min(b0, p.chunk_count):
             return b0 * p.ladder.lowest
     return 0.0
 
@@ -289,7 +288,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
         for j in range(1, len(ctx.players)):
             p = ctx.players[j]
             need = min(b0, p.chunk_count)
-            if not p.complete and p.downloaded < need:
+            if p.downloaded < need:
                 return _download(p, dtaap_bitrate(ctx, j), threshold=need)
         for j, p in enumerate(ctx.players):
             if not p.complete:

@@ -198,6 +198,42 @@ class TestCompare:
         err = capsys.readouterr().err
         assert str(path) in err and "entry 0" in err and "'category'" in err
 
+    @pytest.mark.parametrize("option", ["--catalog", "--scripts"])
+    @pytest.mark.parametrize("entry, detail", [
+        (["v0"], "expected a JSON object"),
+        ({"id": "v0", "category": "quick", "chunk_count": 10,
+          "chunk_duration_s": 1.0, "ladder_kbps": []},
+         "ladder must not be empty"),
+    ], ids=["not-an-object", "empty-ladder"])
+    def test_bad_video_entry_names_file_and_entry(
+            self, tmp_path, capsys, option, entry, detail):
+        data = [entry] if option == "--catalog" else {
+            "catalog": [entry],
+            "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]}]}
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                       "--n-scripts", "1", "--n-traces", "1", "--duration", "60",
+                       option, str(path), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "entry 0" in err and detail in err
+
+    def test_script_with_unknown_video_names_file_script_and_id(
+            self, tmp_path, capsys):
+        entry = {"id": "v0", "category": "quick", "chunk_count": 10,
+                 "chunk_duration_s": 1.0, "ladder_kbps": [750, 1200]}
+        path = tmp_path / "scripts.json"
+        path.write_text(json.dumps({
+            "catalog": [entry],
+            "scripts": [
+                {"id": "s0", "videos": ["v0"], "swipe_points": [3]},
+                {"id": "s1", "videos": ["v0", "v9"], "swipe_points": [3, 3]}]}))
+        assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                       "--n-traces", "1", "--duration", "60",
+                       "--scripts", str(path), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "script 1" in err and "'v9'" in err
+
 
 def test_trace_dir_labels_scenario_by_whole_token(tmp_path):
     text = serialize_throughput_trace(generate_scenario("high", 1, 10))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -5,9 +6,10 @@ import random
 import pytest
 from _oracle import brute_force_session, canonical
 
-from swipesim.core import BitrateLadder, SessionConfig, VideoSpec
+from swipesim.core import BitrateLadder, ChunkRef, SessionConfig, VideoSpec
 from swipesim.engine import (
     SessionScript,
+    SimulationError,
     StarvationError,
     TraceRef,
     run_batch,
@@ -16,7 +18,13 @@ from swipesim.engine import (
     sample_swipe_point,
 )
 from swipesim.retention import build_model
-from swipesim.strategy import make_strategy
+from swipesim.strategy import (
+    STRATEGY_NAMES,
+    Download,
+    Sleep,
+    Strategy,
+    make_strategy,
+)
 from swipesim.trace_io import BehaviorTrace, ThroughputTrace, generate_scenario
 
 LADDER1 = BitrateLadder((750,))
@@ -155,6 +163,75 @@ class TestOracleEquivalence:
                                 assert v.rebuffer_s[k - 1] == rebuffer.get((i, k), 0.0)
                         checked += 1
         assert checked > 500
+
+
+def _fill_then(action):
+    """Download the on-screen video in order at its lowest rung; once it is
+    complete, return ``action``."""
+    def decide(ctx):
+        cur = ctx.players[0]
+        if cur.downloaded < cur.spec.chunk_count:
+            return Download(ChunkRef(cur.video_index, cur.downloaded + 1,
+                                     cur.spec.ladder.lowest))
+        return action
+    return decide
+
+
+class TestStrategyBoundary:
+    """The engine rejects every malformed action a strategy can return."""
+
+    SCRIPT = SessionScript("s", videos_of(7, 2), (2,) * 7)
+
+    @pytest.mark.parametrize("decide, message", [
+        (lambda ctx: Download(ChunkRef(5, 1, 750)),
+         "video 5 outside the window"),
+        (_fill_then(Download(ChunkRef(0, 3, 750))), "completed video 0"),
+        (lambda ctx: Download(ChunkRef(0, 2, 750)),
+         "requested chunk 2 of video 0, next needed is 1"),
+        (lambda ctx: Download(ChunkRef(0, 1, 999)),
+         "off-ladder bitrate 999"),
+        (lambda ctx: Download(ChunkRef(0, 1, [750])),
+         r"off-ladder bitrate \[750\]"),
+        (lambda ctx: Sleep(0.0), "invalid strategy action"),
+        (lambda ctx: Sleep(-0.5), "invalid strategy action"),
+        (lambda ctx: None, "invalid strategy action None"),
+        (lambda ctx: "sleep", "invalid strategy action 'sleep'"),
+    ], ids=["outside-window", "completed-video", "chunk-order",
+            "off-ladder", "unhashable-bitrate", "zero-sleep", "negative-sleep",
+            "none", "string"])
+    def test_rogue_action_raises(self, decide, message):
+        with pytest.raises(SimulationError, match=message):
+            run_session(self.SCRIPT, const_trace(2000),
+                        Strategy("rogue", decide), CFG, MODEL)
+
+    def test_rogue_filler_is_otherwise_valid(self):
+        # the completed-video case fails on its own request, not before it
+        res = run_session(self.SCRIPT, const_trace(2000),
+                          Strategy("rogue", _fill_then(Sleep(0.5))), CFG, MODEL)
+        assert all(v.downloaded_chunks == 2 for v in res.videos)
+
+
+class TestTimelineParity:
+    """Recording the timeline changes nothing else in the result."""
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_untimed_result_equals_timed(self, name):
+        rng = random.Random(f"parity:{name}")
+        for trial in range(4):
+            n = rng.randint(1, 7)
+            videos = tuple(
+                VideoSpec(f"v{i}", "cat", rng.randint(1, 9),
+                          rng.choice((0.5, 1.0, 2.0)), LADDER3)
+                for i in range(n))
+            swipes = tuple(rng.randint(1, v.chunk_count) for v in videos)
+            script = SessionScript(f"s{trial}", videos, swipes)
+            trace = generate_scenario(
+                ("high", "medium", "low", "mixed")[trial], trial, 400)
+            plain = run_session(script, trace, make_strategy(name), CFG, MODEL)
+            timed = run_session(script, trace, make_strategy(name), CFG, MODEL,
+                                record_timeline=True)
+            assert plain.timeline is None and timed.timeline
+            assert plain == dataclasses.replace(timed, timeline=None)
 
 
 class TestStarvation:

@@ -5,7 +5,6 @@ from .core import (
     ChunkRef,
     PlayerBuffer,
     SessionConfig,
-    SessionState,
     VideoSpec,
 )
 from .engine import (
@@ -18,12 +17,11 @@ from .engine import (
     run_session,
     sample_script,
 )
-from .metrics import QoEWeights, cost_video, qoe_video, quality, utility, waste_video
+from .metrics import QoEWeights, qoe_video, quality, utility
 from .retention import (
     RetentionModel,
     RetentionThresholds,
     build_model,
-    conditional_swipe_probability,
     derive_thresholds,
     swipe_probability,
 )

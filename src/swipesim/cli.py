@@ -190,9 +190,9 @@ def _scripts_to_dict(scripts) -> dict:
 
 
 def _build_scripts(args, behavior, n_scripts: int) -> list[SessionScript]:
-    if getattr(args, "scripts", None):
+    if args.scripts:
         return _load_scripts(args.scripts)
-    catalog = (_load_catalog(args.catalog) if getattr(args, "catalog", None)
+    catalog = (_load_catalog(args.catalog) if args.catalog
                else default_catalog(args.seed))
     grouped = _group_by_category(behavior)
     rng = random.Random(f"scripts:{args.seed}")
@@ -205,7 +205,7 @@ def _build_scripts(args, behavior, n_scripts: int) -> list[SessionScript]:
 
 
 def _build_behavior(args) -> list[BehaviorTrace]:
-    if getattr(args, "behavior", None):
+    if args.behavior:
         return parse_behavior_traces(Path(args.behavior).read_text())
     return default_behavior(args.seed)
 
@@ -224,7 +224,7 @@ def _load_trace_dir(path) -> list[TraceRef]:
 
 
 def _build_traces(args, scenarios, n_traces: int, duration_s: float) -> list[TraceRef]:
-    if getattr(args, "traces", None):
+    if args.traces:
         return _load_trace_dir(args.traces)
     refs = []
     for kind in scenarios:
@@ -240,9 +240,11 @@ def _parse_names(raw: str, valid, what: str) -> list[str]:
     names = [n.strip() for n in raw.split(",") if n.strip()]
     if not names:
         raise _CliError(f"no {what} given")
-    for n in names:
+    for i, n in enumerate(names):
         if n not in valid:
             raise _CliError(f"unknown {what} {n!r}; valid: {', '.join(valid)}")
+        if n in names[:i]:
+            raise _CliError(f"repeated {what} {n!r}")
     return names
 
 
@@ -290,7 +292,7 @@ def cmd_gen(args) -> int:
 def _resolve_models(args, behavior):
     """The per-category models, or the one ``--model`` that the engine then
     applies to every category."""
-    if getattr(args, "model", None):
+    if args.model:
         return model_from_json(Path(args.model).read_text())
     grouped = _group_by_category(behavior)
     return {cat: build_model(traces, cat) for cat, traces in grouped.items()}
@@ -405,37 +407,29 @@ def build_parser() -> _Parser:
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
 
-    p_run = sub.add_parser("run", help="simulate a single session")
+    # the simulation inputs shared by run and compare
+    session = argparse.ArgumentParser(add_help=False)
+    session.add_argument("--seed", type=int, default=0)
+    session.add_argument("--duration", type=float, default=300.0)
+    for name in ("--config", "--scripts", "--traces", "--behavior",
+                 "--catalog", "--model"):
+        session.add_argument(name)
+    session.add_argument("--fixb-current", type=int, default=4)
+    session.add_argument("--fixb-next", type=int, default=2)
+
+    p_run = sub.add_parser("run", parents=[session],
+                           help="simulate a single session")
     p_run.add_argument("--strategy", default="dtaap", choices=STRATEGY_NAMES)
     p_run.add_argument("--scenario", default="high", choices=SCENARIO_KINDS)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--duration", type=float, default=300.0)
-    p_run.add_argument("--config")
-    p_run.add_argument("--scripts")
-    p_run.add_argument("--traces")
-    p_run.add_argument("--behavior")
-    p_run.add_argument("--catalog")
-    p_run.add_argument("--model")
-    p_run.add_argument("--fixb-current", type=int, default=4)
-    p_run.add_argument("--fixb-next", type=int, default=2)
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="run a strategy comparison matrix")
+    p_cmp = sub.add_parser("compare", parents=[session],
+                           help="run a strategy comparison matrix")
     p_cmp.add_argument("--strategy", default=",".join(STRATEGY_NAMES))
     p_cmp.add_argument("--scenario", default=",".join(SCENARIO_KINDS))
-    p_cmp.add_argument("--seed", type=int, default=0)
     p_cmp.add_argument("--n-scripts", type=int, default=50)
     p_cmp.add_argument("--n-traces", type=int, default=20)
-    p_cmp.add_argument("--duration", type=float, default=300.0)
-    p_cmp.add_argument("--config")
-    p_cmp.add_argument("--scripts")
-    p_cmp.add_argument("--traces")
-    p_cmp.add_argument("--behavior")
-    p_cmp.add_argument("--catalog")
-    p_cmp.add_argument("--model")
-    p_cmp.add_argument("--fixb-current", type=int, default=4)
-    p_cmp.add_argument("--fixb-next", type=int, default=2)
     p_cmp.add_argument("--out", required=True)
     p_cmp.set_defaults(func=cmd_compare)
     return parser

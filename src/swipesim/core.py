@@ -11,9 +11,7 @@ chunks are indexed 1-based within a video.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-from .throughput import ThroughputHistory
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -124,11 +122,11 @@ class ChunkRef:
 class PlayerBuffer:
     """Downloaded-chunk record of one player.
 
-    Chunks are always downloaded in order, so the record is a contiguous
-    prefix of the video: chunk k is present iff k <= downloaded_count.
-    :meth:`record_download` checks each chunk for library callers; the
-    engine validates simulated downloads once, when the strategy issues
-    them, and appends to ``bitrates`` directly.
+    Chunks are always downloaded in order, so ``bitrates`` is a contiguous
+    prefix of the video: chunk k is present iff k <= len(bitrates). The
+    engine validates each simulated download when the strategy issues it
+    and appends to ``bitrates`` directly; :meth:`record_download` is the
+    checked append for code that fills a buffer itself.
     """
 
     __slots__ = ("video_index", "spec", "bitrates")
@@ -138,23 +136,12 @@ class PlayerBuffer:
         self.spec = spec
         self.bitrates: list[int] = []
 
-    @property
-    def downloaded_count(self) -> int:
-        return len(self.bitrates)
-
-    @property
-    def next_needed(self) -> int:
-        return len(self.bitrates) + 1
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self.bitrates) >= self.spec.chunk_count
-
     def record_download(self, chunk_index: int, bitrate_kbps: int) -> None:
-        if chunk_index != self.next_needed:
+        next_needed = len(self.bitrates) + 1
+        if chunk_index != next_needed:
             raise ValueError(
                 f"video {self.spec.id}: chunk {chunk_index} downloaded out of "
-                f"order (next needed is {self.next_needed})")
+                f"order (next needed is {next_needed})")
         if chunk_index > self.spec.chunk_count:
             raise ValueError(
                 f"video {self.spec.id}: chunk {chunk_index} beyond video end")
@@ -162,14 +149,6 @@ class PlayerBuffer:
             raise ValueError(
                 f"video {self.spec.id}: bitrate {bitrate_kbps} not in ladder")
         self.bitrates.append(bitrate_kbps)
-
-    def validate(self) -> None:
-        """Check the contiguous-prefix property; usable from tests."""
-        if len(self.bitrates) > self.spec.chunk_count:
-            raise AssertionError("more chunks recorded than the video has")
-        for r in self.bitrates:
-            if r not in self.spec.ladder:
-                raise AssertionError(f"recorded bitrate {r} not in ladder")
 
 
 @dataclass
@@ -215,42 +194,3 @@ class SessionConfig:
             raise ValueError("t_sleep_s must be finite and > 0")
         if self.quality_metric not in ("linear", "log"):
             raise ValueError("quality_metric must be 'linear' or 'log'")
-
-
-@dataclass
-class SessionState:
-    """Mutable state of one simulated session.
-
-    ``players`` holds one PlayerBuffer per script video that has entered the
-    recommendation window so far; the live window is the slice starting at
-    ``current_index``. Confined to a single simulation instance.
-    """
-
-    players: list[PlayerBuffer] = field(default_factory=list)
-    current_index: int = 0
-    wall_clock_s: float = 0.0
-    playback_started: bool = False
-    play_chunk: int = 1
-    chunk_begin_s: float = 0.0
-    rebuffering: dict[tuple[int, int], float] = field(default_factory=dict)
-    throughput_history: ThroughputHistory = field(default_factory=ThroughputHistory)
-
-    @property
-    def playback_position_s(self) -> float:
-        if not self.playback_started:
-            return 0.0
-        spec = self.players[self.current_index].spec
-        t0 = spec.chunk_duration_s
-        offset = min(max(self.wall_clock_s - self.chunk_begin_s, 0.0), t0)
-        return (self.play_chunk - 1) * t0 + offset
-
-    def validate(self) -> None:
-        if not 0 <= self.current_index < len(self.players):
-            raise AssertionError("current_index out of range")
-        if self.playback_position_s < 0:
-            raise AssertionError("negative playback position")
-        for (v, k), s in self.rebuffering.items():
-            if s < 0:
-                raise AssertionError(f"negative rebuffer at video {v} chunk {k}")
-        for p in self.players:
-            p.validate()

@@ -30,7 +30,7 @@ from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Union
 
 from . import metrics
-from .core import PlayerBuffer, SessionConfig, SessionState, VideoSpec
+from .core import PlayerBuffer, SessionConfig, VideoSpec
 from .retention import RetentionModel, derive_thresholds, swipe_cdf
 from .strategy import Download, PlayerView, Sleep, StrategyContext
 from .throughput import ThroughputHistory, min_smooth_throughput
@@ -153,6 +153,12 @@ def _model_for(model, category: str) -> RetentionModel:
 
 
 class _Simulation:
+    """One simulated session and the only owner of its state.
+
+    ``players`` holds one PlayerBuffer per script video; the strategy sees
+    the window of ``views`` that starts at ``current_index``.
+    """
+
     def __init__(self, script: SessionScript, trace: ThroughputTrace,
                  strategy, config: SessionConfig, model,
                  record_timeline: bool = False):
@@ -161,13 +167,20 @@ class _Simulation:
         self.strategy = strategy
         self.config = config
         self.n_videos = len(script.videos)
-        self.state = SessionState(throughput_history=ThroughputHistory(config.window_chunks))
+        self.players: list[PlayerBuffer] = []
+        self.current_index = 0
+        self.wall_clock_s = 0.0
+        self.playback_started = False
+        self.play_chunk = 1
+        self.chunk_begin_s = 0.0
+        self.rebuffering: dict[tuple[int, int], float] = {}
+        self.history = ThroughputHistory(config.window_chunks)
         self.views: list[PlayerView] = []
         # per video, the size of one chunk at each ladder rung; doubles as
         # the ladder check on strategy requests
         self._chunk_kbit: list[dict] = []
         for i, spec in enumerate(script.videos):
-            self.state.players.append(PlayerBuffer(i, spec))
+            self.players.append(PlayerBuffer(i, spec))
             thresholds, cdf = _video_profile(
                 _model_for(model, spec.category), spec.chunk_count,
                 config.p_th_early, config.p_th_long)
@@ -193,20 +206,13 @@ class _Simulation:
     # -- window helpers --------------------------------------------------
 
     def _rebuild_window(self):
-        st = self.state
-        self._win_lo = st.current_index
-        self._win_hi = min(st.current_index + self.config.n_pred, self.n_videos)
-        window = []
-        for i in range(self._win_lo, self._win_hi):
-            view = self.views[i]
-            buf = st.players[i]
-            n = len(buf.bitrates)
-            view.downloaded = n
-            view.is_current = i == st.current_index
-            view.last_bitrate = buf.bitrates[-1] if n else None
-            view.buffered = n
-            view.lead = float(n)
-            window.append(view)
+        """Slide the window to the current video. The views keep their own
+        counts: a video enters the window with no downloads, and
+        _apply_download and _build_ctx keep every window view current."""
+        self._win_lo = lo = self.current_index
+        self._win_hi = min(lo + self.config.n_pred, self.n_videos)
+        window = self.views[lo:self._win_hi]
+        window[0].is_current = True
         self._ctx.players = window
         # worst-case smooth-playback bound, taken at the conservative
         # lowest rung for both the current chunk and the startup chunks
@@ -218,24 +224,23 @@ class _Simulation:
     def _emit_play(self):
         """Record the start of the playhead chunk, once per chunk; call only
         while recording."""
-        key = (self.state.current_index, self.state.play_chunk)
+        key = (self.current_index, self.play_chunk)
         if key not in self._played:
             self._played.add(key)
-            self.timeline.append(("play", self.state.wall_clock_s) + key)
+            self.timeline.append(("play", self.wall_clock_s) + key)
 
     # -- decision points --------------------------------------------------
 
     def _build_ctx(self) -> StrategyContext:
-        st = self.state
         ctx = self._ctx
         view = ctx.players[0]
         n = view.downloaded
-        if st.playback_started:
-            view.buffered = n - (st.play_chunk - 1)
+        if self.playback_started:
+            view.buffered = n - (self.play_chunk - 1)
             offset = 0.0
-            if st.play_chunk <= n:
+            if self.play_chunk <= n:
                 t0 = view.spec.chunk_duration_s
-                offset = (st.wall_clock_s - st.chunk_begin_s) / t0
+                offset = (self.wall_clock_s - self.chunk_begin_s) / t0
             view.lead = view.buffered - offset
         else:
             view.buffered = n
@@ -250,7 +255,7 @@ class _Simulation:
         if not self._win_lo <= vi < self._win_hi:
             raise SimulationError(
                 f"strategy targeted video {vi} outside the window")
-        buf = self.state.players[vi]
+        buf = self.players[vi]
         n = len(buf.bitrates)
         if n >= buf.spec.chunk_count:
             raise SimulationError(f"strategy targeted completed video {vi}")
@@ -269,73 +274,69 @@ class _Simulation:
     def _stall(self, chunk: int, dt: float):
         if dt <= 0:
             return
-        key = (self.state.current_index, chunk)
-        st = self.state
-        st.rebuffering[key] = st.rebuffering.get(key, 0.0) + dt
+        key = (self.current_index, chunk)
+        self.rebuffering[key] = self.rebuffering.get(key, 0.0) + dt
         self.total_rebuffer += dt
 
     def _advance(self, until: float):
         """Run playback forward to ``until`` against the frozen buffers."""
-        st = self.state
-        players = st.players
+        players = self.players
         swipe_points = self.script.swipe_points
         recording = self.timeline is not None
-        while st.wall_clock_s < until and not self.done:
-            buf = players[st.current_index]
+        while self.wall_clock_s < until and not self.done:
+            buf = players[self.current_index]
             spec = buf.spec
             n = len(buf.bitrates)
-            if not st.playback_started:
+            if not self.playback_started:
                 if n >= min(self.config.b0_startup_chunks, spec.chunk_count):
-                    st.playback_started = True
-                    st.play_chunk = 1
-                    st.chunk_begin_s = st.wall_clock_s
+                    self.playback_started = True
+                    self.play_chunk = 1
+                    self.chunk_begin_s = self.wall_clock_s
                     if recording:
                         self._emit_play()
                     continue
-                if st.current_index > 0:
-                    self._stall(1, until - st.wall_clock_s)
-                st.wall_clock_s = until
+                if self.current_index > 0:
+                    self._stall(1, until - self.wall_clock_s)
+                self.wall_clock_s = until
                 return
-            if st.play_chunk > n:
-                self._stall(st.play_chunk, until - st.wall_clock_s)
-                st.wall_clock_s = until
+            if self.play_chunk > n:
+                self._stall(self.play_chunk, until - self.wall_clock_s)
+                self.wall_clock_s = until
                 return
-            end_t = st.chunk_begin_s + spec.chunk_duration_s
+            end_t = self.chunk_begin_s + spec.chunk_duration_s
             if end_t > until:
-                st.wall_clock_s = until
+                self.wall_clock_s = until
                 return
-            st.wall_clock_s = end_t
-            if st.play_chunk == swipe_points[st.current_index]:
+            self.wall_clock_s = end_t
+            if self.play_chunk == swipe_points[self.current_index]:
                 self._swipe()
             else:
-                st.play_chunk += 1
-                st.chunk_begin_s = end_t
-                if recording and st.play_chunk <= n:
+                self.play_chunk += 1
+                self.chunk_begin_s = end_t
+                if recording and self.play_chunk <= n:
                     self._emit_play()
 
     def _swipe(self):
-        st = self.state
         timeline = self.timeline
         if timeline is not None:
-            timeline.append(("swipe", st.wall_clock_s, st.current_index))
-        st.current_index += 1
-        if st.current_index >= self.n_videos:
+            timeline.append(("swipe", self.wall_clock_s, self.current_index))
+        self.current_index += 1
+        if self.current_index >= self.n_videos:
             self.done = True
-            self.end_t = st.wall_clock_s
+            self.end_t = self.wall_clock_s
             if timeline is not None:
-                timeline.append(("end", st.wall_clock_s))
+                timeline.append(("end", self.wall_clock_s))
             return
-        st.playback_started = False
-        st.play_chunk = 1
+        self.playback_started = False
+        self.play_chunk = 1
         self._rebuild_window()
 
     def _apply_download(self, ref, size_kbit, elapsed_s):
-        st = self.state
         vi = ref.video_index
-        buf = st.players[vi]
+        buf = self.players[vi]
         # checked when the strategy issued it, by _validate_download
         buf.bitrates.append(ref.bitrate_kbps)
-        history = st.throughput_history
+        history = self.history
         history.record_download(size_kbit, elapsed_s)
         # the estimates change only when a download lands, so set them here
         ctx = self._ctx
@@ -352,18 +353,17 @@ class _Simulation:
                 view.lead = float(n)
         timeline = self.timeline
         if timeline is not None:
-            timeline.append(("dl_done", st.wall_clock_s, vi, ref.chunk_index))
-        if (st.playback_started and vi == st.current_index
-                and ref.chunk_index == st.play_chunk):
-            st.chunk_begin_s = st.wall_clock_s
+            timeline.append(("dl_done", self.wall_clock_s, vi, ref.chunk_index))
+        if (self.playback_started and vi == self.current_index
+                and ref.chunk_index == self.play_chunk):
+            self.chunk_begin_s = self.wall_clock_s
             if timeline is not None:
                 self._emit_play()
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SessionResult:
-        st = self.state
-        players = st.players
+        players = self.players
         trace = self.trace
         timeline = self.timeline
         decide = self.strategy.decide
@@ -373,7 +373,7 @@ class _Simulation:
         while not self.done:
             action = decide(build_ctx())
             self.rebuffer_marker = self.total_rebuffer
-            now = st.wall_clock_s
+            now = self.wall_clock_s
             if isinstance(action, Download):
                 ref = action.chunk
                 size = self._validate_download(ref)
@@ -394,10 +394,10 @@ class _Simulation:
                 raise SimulationError(f"invalid strategy action {action!r}")
             # wake at the sleep interval or the next chunk-playback boundary
             wake = now + action.duration_s
-            if st.playback_started:
-                buf = players[st.current_index]
-                if st.play_chunk <= len(buf.bitrates):
-                    nxt = st.chunk_begin_s + buf.spec.chunk_duration_s
+            if self.playback_started:
+                buf = players[self.current_index]
+                if self.play_chunk <= len(buf.bitrates):
+                    nxt = self.chunk_begin_s + buf.spec.chunk_duration_s
                     if nxt < wake:
                         wake = nxt
             if timeline is not None:
@@ -411,11 +411,11 @@ class _Simulation:
         videos = []
         qoes = []
         costs = []
-        for i, buf in enumerate(self.state.players):
+        for i, buf in enumerate(self.players):
             spec = buf.spec
             watched = self.script.swipe_points[i]
             bitrates = tuple(buf.bitrates)
-            rebuf = tuple(self.state.rebuffering.get((i, k), 0.0)
+            rebuf = tuple(self.rebuffering.get((i, k), 0.0)
                           for k in range(1, watched + 1))
             qoe = metrics.qoe_video(bitrates[:watched], rebuf, weights,
                                     cfg.quality_metric)

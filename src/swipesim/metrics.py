@@ -56,20 +56,6 @@ def total_kilobits(bitrates: Sequence, t0_s):
     return sum(chunk_kbit(r, t0_s) for r in bitrates)
 
 
-def cost_video(downloaded_bitrates: Sequence, t0_s) -> float:
-    """Bandwidth consumed by every downloaded chunk, in megabits."""
-    if t0_s <= 0:
-        raise ValueError("chunk duration must be positive")
-    return total_kilobits(downloaded_bitrates, t0_s) / 1000.0
-
-
-def waste_video(downloaded_bitrates: Sequence, watched_count: int, t0_s) -> float:
-    """Megabits downloaded beyond the last watched chunk."""
-    if watched_count > len(downloaded_bitrates):
-        raise ValueError("watched_count exceeds downloaded chunk count")
-    return total_kilobits(downloaded_bitrates[watched_count:], t0_s) / 1000.0
-
-
 def utility(qoes: Sequence, costs_mbit: Sequence, w4: float) -> float:
     """Session objective: QoE of every video minus priced bandwidth cost."""
     if len(qoes) != len(costs_mbit):

@@ -89,21 +89,6 @@ def swipe_probability(model: RetentionModel, k: int, total_chunks: int) -> float
     return sum(model.mass[lo:hi])
 
 
-def conditional_swipe_probability(model: RetentionModel, k: int,
-                                  total_chunks: int) -> float:
-    """Probability of swiping at chunk k given the user reached it.
-
-    Returns 1.0 when no mass remains at or beyond chunk k.
-    """
-    if not 1 <= k <= total_chunks:
-        raise ValueError(f"chunk {k} out of range 1..{total_chunks}")
-    lo = _bin_edge(k - 1, total_chunks)
-    remaining = sum(model.mass[lo:])
-    if remaining <= 0:
-        return 1.0
-    return min(sum(model.mass[lo:_bin_edge(k, total_chunks)]) / remaining, 1.0)
-
-
 def derive_thresholds(model: RetentionModel, total_chunks: int,
                       p_th_early: float, p_th_long: float) -> RetentionThresholds:
     """Derive the k_min / k_early / k_long thresholds for a K-chunk video."""

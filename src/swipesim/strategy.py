@@ -209,12 +209,6 @@ def _swipe_imminent(ctx: StrategyContext) -> bool:
     model, compared against the majority-outcome cutoff. While the hazard
     is high the bandwidth reserves that protect the swipe transition stay
     engaged; once the viewer is in a committed stretch they are released.
-
-    Reads the view's cdf rather than calling
-    ``retention.conditional_swipe_probability``: past the last swipe mass
-    the cdf's rounding leaves a remainder near 1e-16 and the hazard here
-    reads 0, where that function returns 1. Switching would change
-    decisions, and with them every compared output.
     """
     cur = ctx.players[0]
     k = min(max(cur.downloaded - cur.buffered + 1, 1), cur.chunk_count)

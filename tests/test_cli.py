@@ -242,3 +242,19 @@ def test_trace_dir_labels_scenario_by_whole_token(tmp_path):
     labels = {ref.trace_id: ref.scenario for ref in _load_trace_dir(tmp_path)}
     assert labels == {"trace_highway_lowband": "custom",
                       "trace_low_s9_000": "low", "medium_03": "medium"}
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["compare", "--strategy", "dtaap,fixb,dtaap", "--scenario", "high",
+      "--n-scripts", "1", "--n-traces", "1"], "'dtaap'"),
+    (["compare", "--strategy", "dtaap", "--scenario", "high, low,high",
+      "--n-scripts", "1", "--n-traces", "1"], "'high'"),
+    (["gen", "--scenario", "low,low", "--count", "1"], "'low'"),
+], ids=["compare-strategy", "compare-scenario", "gen-scenario"])
+def test_repeated_name_is_input_error(tmp_path, capsys, argv, name):
+    # a repeated name would run, write and count its rows twice
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--duration", "10", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert "repeated" in err and name in err
+    assert not out.exists()

@@ -7,7 +7,6 @@ from swipesim.core import (
     ChunkRef,
     PlayerBuffer,
     SessionConfig,
-    SessionState,
     VideoSpec,
 )
 
@@ -81,15 +80,12 @@ class TestChunkRef:
 class TestPlayerBuffer:
     def test_prefix_progression(self):
         buf = PlayerBuffer(0, make_video(chunk_count=3))
-        assert buf.next_needed == 1
+        assert buf.bitrates == []
         buf.record_download(1, 750)
         buf.record_download(2, 1200)
-        assert buf.downloaded_count == 2
-        assert buf.next_needed == 3
-        assert not buf.is_complete
+        assert buf.bitrates == [750, 1200]
         buf.record_download(3, 750)
-        assert buf.is_complete
-        buf.validate()
+        assert buf.bitrates == [750, 1200, 750]
 
     def test_rejects_out_of_order(self):
         buf = PlayerBuffer(0, make_video())
@@ -133,26 +129,3 @@ class TestSessionConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SessionConfig(**kwargs)
-
-
-class TestSessionState:
-    def test_playback_position_tracks_chunk_and_offset(self):
-        state = SessionState()
-        state.players.append(PlayerBuffer(0, make_video(chunk_count=5)))
-        state.players[0].record_download(1, 750)
-        state.validate()
-        assert state.playback_position_s == 0.0
-        state.playback_started = True
-        state.play_chunk = 3
-        state.chunk_begin_s = 10.0
-        state.wall_clock_s = 10.25
-        assert state.playback_position_s == pytest.approx(2.25)
-
-    def test_validate_rejects_bad_state(self):
-        state = SessionState()
-        with pytest.raises(AssertionError):
-            state.validate()
-        state.players.append(PlayerBuffer(0, make_video()))
-        state.rebuffering[(0, 1)] = -1.0
-        with pytest.raises(AssertionError):
-            state.validate()

@@ -1,15 +1,14 @@
 import random
 
 import pytest
+from _oracle import cost_video, waste_video
 
 from swipesim.metrics import (
     QoEWeights,
-    cost_video,
     qoe_video,
     quality,
     total_kilobits,
     utility,
-    waste_video,
 )
 
 W = QoEWeights(1.0, 1.0, 1.85)

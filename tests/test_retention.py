@@ -5,7 +5,6 @@ import pytest
 from swipesim.retention import (
     RetentionModel,
     build_model,
-    conditional_swipe_probability,
     derive_thresholds,
     model_from_json,
     model_to_json,
@@ -70,16 +69,6 @@ class TestSwipeProbability:
             swipe_probability(TWO_TRACE_MODEL, 0, 10)
         with pytest.raises(ValueError):
             swipe_probability(TWO_TRACE_MODEL, 11, 10)
-
-    def test_conditional_is_normalized_tail(self):
-        # before any mass: 0.5 mass in the 41..50 window over full tail 1.0
-        assert conditional_swipe_probability(TWO_TRACE_MODEL, 5, 10) == pytest.approx(0.5)
-        # at the last chunk all remaining mass must go
-        assert conditional_swipe_probability(TWO_TRACE_MODEL, 10, 10) == pytest.approx(1.0)
-
-    def test_conditional_with_empty_tail(self):
-        model = build_model(traces_of([(1, 10)]), "cat")
-        assert conditional_swipe_probability(model, 10, 10) == 1.0
 
 
 class TestThresholds:

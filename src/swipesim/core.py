@@ -11,7 +11,19 @@ chunks are indexed 1-based within a video.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+
+def _slot_setters(cls) -> list:
+    """The ``__set__`` of each field slot of a frozen slotted dataclass.
+
+    The actions built for every simulated download set their fields through
+    these in a hand-written ``__init__``: a slot's own setter stores the
+    value directly, where the generated frozen ``__init__`` goes through
+    ``object.__setattr__`` for every field. The frozen ``__setattr__``
+    still rejects assignment after construction.
+    """
+    return [getattr(cls, f.name).__set__ for f in fields(cls)]
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,7 @@ class VideoSpec:
         return chunk_kbit(bitrate_kbps, self.chunk_duration_s)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ChunkRef:
     """A single downloadable chunk: video position, chunk number, bitrate.
 
@@ -102,6 +114,11 @@ class ChunkRef:
     video_index: int
     chunk_index: int
     bitrate_kbps: int
+
+    def __init__(self, video_index: int, chunk_index: int, bitrate_kbps: int):
+        _set_video_index(self, video_index)
+        _set_chunk_index(self, chunk_index)
+        _set_bitrate_kbps(self, bitrate_kbps)
 
     @classmethod
     def create(cls, video_index: int, chunk_index: int, bitrate_kbps: int,
@@ -117,6 +134,9 @@ class ChunkRef:
                 f"bitrate {bitrate_kbps} not in ladder {spec.ladder.levels} "
                 f"of video {spec.id}")
         return cls(video_index, chunk_index, bitrate_kbps)
+
+
+_set_video_index, _set_chunk_index, _set_bitrate_kbps = _slot_setters(ChunkRef)
 
 
 class PlayerBuffer:

@@ -548,24 +548,28 @@ def run_batch(scripts: Sequence[SessionScript], traces: Sequence[TraceRef],
     if not scripts or not traces or not strategies:
         raise ValueError("scripts, traces, and strategies must be non-empty")
     rows = []
+    # (strategy, scenario) -> that cell's rows, in row order
+    cells: dict[tuple[str, str], list[SessionRow]] = {}
     for strat in strategies:
         for script in scripts:
             for tr in traces:
                 try:
                     res = run_session(script, tr.trace, strat, config, model)
-                    rows.append(SessionRow(
+                    row = SessionRow(
                         strategy=strat.name, scenario=tr.scenario,
                         script_id=script.script_id, trace_id=tr.trace_id,
                         status="ok", qoe=res.qoe_total,
                         cost_mbit=res.cost_mbit_total,
                         waste_mbit=res.waste_mbit_total,
-                        utility=res.utility, rebuffer_s=res.rebuffer_total_s))
+                        utility=res.utility, rebuffer_s=res.rebuffer_total_s)
                 except StarvationError:
-                    rows.append(SessionRow(
+                    row = SessionRow(
                         strategy=strat.name, scenario=tr.scenario,
                         script_id=script.script_id, trace_id=tr.trace_id,
                         status="starved", qoe=None, cost_mbit=None,
-                        waste_mbit=None, utility=None, rebuffer_s=None))
+                        waste_mbit=None, utility=None, rebuffer_s=None)
+                rows.append(row)
+                cells.setdefault((row.strategy, row.scenario), []).append(row)
     scenario_order = []
     for tr in traces:
         if tr.scenario not in scenario_order:
@@ -573,8 +577,7 @@ def run_batch(scripts: Sequence[SessionScript], traces: Sequence[TraceRef],
     aggregates = []
     for strat in strategies:
         for scenario in scenario_order:
-            cell = [r for r in rows
-                    if r.strategy == strat.name and r.scenario == scenario]
+            cell = cells[strat.name, scenario]
             ok = [r for r in cell if r.status == "ok"]
             if ok:
                 utils = sorted(r.utility for r in ok)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Union
 
-from .core import BitrateLadder, ChunkRef, SessionConfig, VideoSpec
+from .core import BitrateLadder, ChunkRef, SessionConfig, VideoSpec, _slot_setters
 from .retention import RetentionThresholds
 from .throughput import Regime, classify_regime
 
@@ -67,13 +67,22 @@ STARVED_PLAYHEAD_CUSHION = 3
 IMMINENT_HAZARD = 0.5
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Download:
     """Fetch one chunk; buffered/threshold record the test that issued it."""
 
     chunk: ChunkRef
     buffered: Optional[int] = None
     threshold: Optional[float] = None
+
+    def __init__(self, chunk: ChunkRef, buffered: Optional[int] = None,
+                 threshold: Optional[float] = None):
+        _set_chunk(self, chunk)
+        _set_buffered(self, buffered)
+        _set_threshold(self, threshold)
+
+
+_set_chunk, _set_buffered, _set_threshold = _slot_setters(Download)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +91,10 @@ class Sleep:
 
 
 Action = Union[Download, Sleep]
+
+# a Sleep is immutable, so the idle decisions of every strategy share one
+# per duration
+_sleep = lru_cache(maxsize=32, typed=True)(Sleep)
 
 
 @dataclass(slots=True)
@@ -93,6 +106,11 @@ class PlayerView:
     ``lead`` is the same quantity minus the consumed fraction of the
     on-screen chunk; the bitrate controller's occupancy tests use it.
     ``chunk_count`` and ``ladder`` are copied from ``spec`` on construction.
+    ``retention_cap`` is :func:`pdas_retention_cap` of ``swipe_cdf``, also
+    set on construction. During a session the engine updates
+    ``downloaded``, ``buffered``, ``lead``, ``last_bitrate`` and
+    ``is_current`` in place; ``complete`` and ``next_needed`` stay
+    properties of ``downloaded``, so they follow any change to it.
     """
 
     spec: VideoSpec
@@ -106,10 +124,12 @@ class PlayerView:
     lead: float = 0.0
     chunk_count: int = field(init=False, repr=False, compare=False)
     ladder: BitrateLadder = field(init=False, repr=False, compare=False)
+    retention_cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.chunk_count = self.spec.chunk_count
         self.ladder = self.spec.ladder
+        self.retention_cap = pdas_retention_cap(self.swipe_cdf)
 
     @property
     def next_needed(self) -> int:
@@ -139,19 +159,17 @@ class StrategyContext:
 
 def _download(player: PlayerView, bitrate: int,
               threshold: Optional[float] = None) -> Download:
-    ref = ChunkRef(player.video_index, player.next_needed, bitrate)
-    return Download(ref, buffered=player.buffered, threshold=threshold)
+    return Download(ChunkRef(player.video_index, player.next_needed, bitrate),
+                    player.buffered, threshold)
 
 
-def _warmup_action(ctx: StrategyContext) -> Optional[Action]:
-    """Before any download has completed there is no throughput estimate;
-    fetch the first missing chunk at the lowest rung."""
-    if ctx.c_ave is not None:
-        return None
+def _warmup_action(ctx: StrategyContext) -> Action:
+    """Before any download has completed there is no throughput estimate
+    (``c_ave`` is None); fetch the first missing chunk at the lowest rung."""
     for p in ctx.players:
         if not p.complete:
             return _download(p, p.ladder.lowest, threshold=1)
-    return Sleep(ctx.config.t_sleep_s)
+    return _sleep(ctx.config.t_sleep_s)
 
 
 def buffer_threshold_current(ctx: StrategyContext) -> int:
@@ -268,9 +286,8 @@ def _starved(ctx: StrategyContext) -> bool:
 
 
 def dtaap_decide(ctx: StrategyContext) -> Action:
-    warm = _warmup_action(ctx)
-    if warm is not None:
-        return warm
+    if ctx.c_ave is None:
+        return _warmup_action(ctx)
     if _starved(ctx):
         # playhead cushion first, then startup insurance for every window
         # player, then bank the window in order; never leave channel idle
@@ -288,7 +305,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
             if not p.complete:
                 return _download(p, dtaap_bitrate(ctx, j),
                                  threshold=p.chunk_count)
-        return Sleep(ctx.config.t_sleep_s)
+        return _sleep(ctx.config.t_sleep_s)
     cur = ctx.players[0]
     if not cur.complete:
         b_th = buffer_threshold_current(ctx)
@@ -301,7 +318,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
         b_th = buffer_threshold_next(ctx, j)
         if p.buffered < b_th:
             return _download(p, dtaap_bitrate(ctx, j), threshold=b_th)
-    return Sleep(ctx.config.t_sleep_s)
+    return _sleep(ctx.config.t_sleep_s)
 
 
 def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
@@ -312,52 +329,46 @@ def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
     for p in ctx.players[1:]:
         if not p.complete and p.buffered < b_next:
             return _download(p, p.ladder.match(ctx.c_ave), threshold=b_next)
-    return Sleep(ctx.config.t_sleep_s)
+    return _sleep(ctx.config.t_sleep_s)
 
 
 def fixb_decide(ctx: StrategyContext, b_current: int = 4, b_next: int = 2) -> Action:
     if b_current < 1 or b_next < 1:
         raise ValueError("fixed buffer thresholds must be >= 1")
-    warm = _warmup_action(ctx)
-    if warm is not None:
-        return warm
+    if ctx.c_ave is None:
+        return _warmup_action(ctx)
     return _scan_fixed(ctx, b_current, b_next)
 
 
 def nextone_decide(ctx: StrategyContext) -> Action:
     """Finish the current video, then fill each recommended player fully."""
-    warm = _warmup_action(ctx)
-    if warm is not None:
-        return warm
+    if ctx.c_ave is None:
+        return _warmup_action(ctx)
     for p in ctx.players:
         if not p.complete:
             return _download(p, p.ladder.match(ctx.c_ave),
                              threshold=p.chunk_count)
-    return Sleep(ctx.config.t_sleep_s)
+    return _sleep(ctx.config.t_sleep_s)
 
 
 def networkbased_decide(ctx: StrategyContext) -> Action:
     """Fixed-style scan with thresholds scaled by the throughput regime."""
-    warm = _warmup_action(ctx)
-    if warm is not None:
-        return warm
+    if ctx.c_ave is None:
+        return _warmup_action(ctx)
     regime = classify_regime(ctx.c_pred, ctx.players[0].ladder.lowest, ctx.c_min)
     b_current, b_next = NETWORK_REGIME_THRESHOLDS[regime]
     return _scan_fixed(ctx, b_current, b_next)
 
 
-@lru_cache(maxsize=4096)
-def _cdf_cap(swipe_cdf: tuple) -> int:
+def pdas_retention_cap(swipe_cdf) -> int:
+    """pdas_lite's buffer cap for a video: the largest chunk index the user
+    survives past with probability > 0.5, or 1 if there is none. Fixed per
+    video, so :class:`PlayerView` computes it once, when the view is built."""
     cap = 1
     for k, mass in enumerate(swipe_cdf, start=1):
         if 1.0 - mass > PDAS_RETENTION_CUTOFF:
             cap = k
     return cap
-
-
-def _retention_cap(p: PlayerView) -> int:
-    """Largest chunk index the user survives past with probability > 0.5."""
-    return _cdf_cap(p.swipe_cdf)
 
 
 def _reach_probability(p: PlayerView, k: int) -> float:
@@ -371,20 +382,19 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
     likely than not to reach; for the current player the cap slides with
     the playhead so playback always progresses.
     """
-    warm = _warmup_action(ctx)
-    if warm is not None:
-        return warm
+    if ctx.c_ave is None:
+        return _warmup_action(ctx)
     for p in ctx.players:
         if p.complete:
             continue
-        cap = _retention_cap(p)
+        cap = p.retention_cap
         if p.is_current:
             play_need = p.downloaded - p.buffered + 1
             cap = max(cap, play_need)
         if p.downloaded < cap:
             weighted = ctx.c_ave * _reach_probability(p, p.next_needed)
             return _download(p, p.ladder.match(weighted), threshold=cap)
-    return Sleep(ctx.config.t_sleep_s)
+    return _sleep(ctx.config.t_sleep_s)
 
 
 class Strategy(NamedTuple):

@@ -48,6 +48,7 @@ class ThroughputTrace:
             raise ValueError("trace must contain at least one sample")
         if samples[0][0] != 0:
             raise ValueError("trace must start at timestamp 0")
+        starts = []
         inf = math.inf
         prev = -inf
         for t, bw in samples:
@@ -55,8 +56,9 @@ class ThroughputTrace:
                 raise ValueError("trace timestamps must be finite and strictly increasing")
             if not 0 <= bw < inf:
                 raise ValueError("bandwidth must be finite and non-negative")
+            starts.append(t)
             prev = t
-        object.__setattr__(self, "_starts", tuple(t for t, _ in samples))
+        object.__setattr__(self, "_starts", tuple(starts))
 
     def segment_index(self, t) -> int:
         return bisect_right(self._starts, t) - 1
@@ -198,6 +200,12 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
 
     Arithmetic follows the numeric types passed in: with floats the result
     is correct to rounding, with ``fractions.Fraction`` inputs it is exact.
+
+    The segment holding ``start_s`` is found by bisection over the segment
+    starts. From there each segment that ends at a next sample either
+    finishes the download at ``pos + remaining / bw`` or drains
+    ``cap = bw * (seg_end - pos)`` kilobits; a zero-bandwidth segment is
+    skipped. The last sample's bandwidth carries whatever is left.
     """
     if start_s < 0:
         raise ValueError("start time must be non-negative")
@@ -205,22 +213,23 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
         raise ValueError("size must be non-negative")
     if size_kbit == 0:
         return start_s
+    starts = trace._starts
     samples = trace.samples
-    n = len(samples)
-    i = trace.segment_index(start_s)
+    last = len(starts) - 1
+    i = bisect_right(starts, start_s) - 1
     pos = start_s
     remaining = size_kbit
-    while True:
+    while i < last:
         bw = samples[i][1]
-        seg_end = samples[i + 1][0] if i + 1 < n else None
+        i += 1
+        seg_end = starts[i]
         if bw > 0:
-            if seg_end is None:
-                return pos + remaining / bw
             cap = bw * (seg_end - pos)
             if remaining <= cap:
                 return pos + remaining / bw
             remaining -= cap
-        elif seg_end is None:
-            return math.inf
         pos = seg_end
-        i += 1
+    bw = samples[last][1]
+    if bw > 0:
+        return pos + remaining / bw
+    return math.inf

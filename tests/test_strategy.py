@@ -1,10 +1,12 @@
+import dataclasses
 import random
 import zlib
 
 import pytest
 from helpers import make_ctx, make_view
 
-from swipesim.core import SessionConfig
+from swipesim.core import ChunkRef, SessionConfig
+from swipesim.retention import build_model, swipe_cdf
 from swipesim.strategy import (
     Download,
     Sleep,
@@ -17,7 +19,9 @@ from swipesim.strategy import (
     networkbased_decide,
     nextone_decide,
     pdas_lite_decide,
+    pdas_retention_cap,
 )
+from swipesim.trace_io import BehaviorTrace
 
 
 class TestBufferThresholdCurrent:
@@ -322,6 +326,94 @@ class TestPdasLite:
         players[0].buffered = 1
         action = pdas_lite_decide(make_ctx(players=players))
         assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
+
+
+def _cap_by_rule(cdf):
+    """The last k with 1 - cdf[k-1] > 0.5, else 1."""
+    cap = 1
+    for k in range(1, len(cdf) + 1):
+        if 1.0 - cdf[k - 1] > 0.5:
+            cap = k
+    return cap
+
+
+class TestPdasRetentionCap:
+    def test_hand_made_cdfs(self):
+        assert pdas_retention_cap((0.5, 1.0)) == 1       # exactly 0.5 left
+        assert pdas_retention_cap((0.1, 0.4, 0.6, 1.0)) == 2
+        assert pdas_retention_cap((0.0,) * 9 + (1.0,)) == 9
+        assert pdas_retention_cap((1.0,)) == 1
+
+    def test_per_video_cap_matches_rule_on_random_models(self):
+        rng = random.Random(211)
+        tails = 0
+        for _ in range(150):
+            traces = []
+            for i in range(rng.randint(1, 40)):
+                total = rng.randint(1, 120)
+                traces.append(BehaviorTrace(f"t{i}", "cat", total,
+                                            rng.randint(1, total)))
+            model = build_model(traces, "cat")
+            for chunk_count in (rng.randint(1, 12), rng.randint(13, 60)):
+                cdf = swipe_cdf(model, chunk_count)
+                if cdf[-1] < 1.0:
+                    tails += 1
+                want = _cap_by_rule(cdf)
+                assert pdas_retention_cap(cdf) == want
+                view = make_view(0, chunk_count=chunk_count, swipe_cdf=cdf)
+                assert view.retention_cap == want
+        # models whose cdf stops a rounding step short of 1 are covered
+        assert tails > 0
+
+
+class TestActions:
+    REF = ChunkRef(2, 3, 1200)
+
+    def test_frozen(self):
+        actions = [(self.REF, "video_index"),
+                   (Download(self.REF, 1, 2.0), "threshold"),
+                   (Sleep(0.5), "duration_s")]
+        for action, name in actions:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(action, name, 7)
+            assert not hasattr(action, "__dict__")
+
+    def test_equal_and_hashable(self):
+        assert ChunkRef(2, 3, 1200) == self.REF
+        a = Download(ChunkRef(2, 3, 1200), buffered=1, threshold=2.0)
+        b = Download(self.REF, 1, 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != Download(self.REF, 1, 3.0)
+        assert Sleep(0.5) == Sleep(0.5) and hash(Sleep(0.5)) == hash(Sleep(0.5))
+        assert len({a, b, Sleep(0.5), Sleep(0.5), self.REF}) == 3
+        assert Download(self.REF) == Download(chunk=self.REF, buffered=None,
+                                              threshold=None)
+
+    def test_replace(self):
+        d = Download(self.REF, 1, 2.0)
+        assert dataclasses.replace(d, threshold=4) == Download(self.REF, 1, 4)
+        assert dataclasses.replace(self.REF, chunk_index=4) == ChunkRef(2, 4, 1200)
+        assert dataclasses.replace(Sleep(0.5), duration_s=1.0) == Sleep(1.0)
+
+    def test_repr(self):
+        assert repr(Download(self.REF, 1, 2.0)) == (
+            "Download(chunk=ChunkRef(video_index=2, chunk_index=3, "
+            "bitrate_kbps=1200), buffered=1, threshold=2.0)")
+        assert repr(Sleep(0.5)) == "Sleep(duration_s=0.5)"
+
+    def test_never_equal_to_plain_tuples(self):
+        assert Download(self.REF, 1, 2.0) != (self.REF, 1, 2.0)
+        assert Download(self.REF, 1, 2.0) != ((2, 3, 1200), 1, 2.0)
+        assert self.REF != (2, 3, 1200)
+        assert Sleep(0.5) != (0.5,)
+
+    def test_idle_decisions_equal_a_fresh_sleep(self):
+        players = [make_view(0, is_current=True, downloaded=10)]
+        players += [make_view(j, downloaded=10) for j in range(1, 5)]
+        for name in STRATEGIES:
+            action = make_strategy(name).decide(make_ctx(players=players))
+            assert action == Sleep(SessionConfig().t_sleep_s)
+            assert type(action) is Sleep
 
 
 def _random_ctx(rng):

@@ -199,6 +199,73 @@ class TestDownloadFinishTime:
             assert split == pytest.approx(whole, rel=1e-9)
 
 
+def _reference_finish(samples, start, size):
+    """Plain piecewise integration: find the segment by a linear scan, then
+    drain it segment by segment with the same arithmetic as the channel."""
+    if size == 0:
+        return start
+    i = 0
+    while i + 1 < len(samples) and samples[i + 1][0] <= start:
+        i += 1
+    pos, remaining = start, size
+    while i + 1 < len(samples):
+        bw, seg_end = samples[i][1], samples[i + 1][0]
+        if bw > 0:
+            cap = bw * (seg_end - pos)
+            if remaining <= cap:
+                return pos + remaining / bw
+            remaining -= cap
+        pos = seg_end
+        i += 1
+    bw = samples[-1][1]
+    return pos + remaining / bw if bw > 0 else math.inf
+
+
+def _random_piecewise(rng, n, num):
+    """``n`` segments with about a quarter at zero bandwidth; ``num`` makes
+    each number (float or Fraction)."""
+    samples, t = [], num(0)
+    for _ in range(n):
+        bw = num(0) if rng.random() < 0.25 else num(rng.randint(1, 6000)) / rng.randint(1, 7)
+        samples.append((t, bw))
+        t += num(rng.randint(1, 40)) / rng.randint(1, 8)
+    return samples
+
+
+class TestFinishTimeMatchesReference:
+    """Exact agreement with a reference loop, on random piecewise traces."""
+
+    @pytest.mark.parametrize("num", [float, Fraction], ids=["float", "fraction"])
+    def test_random_traces(self, num):
+        rng = random.Random(101)
+        for _ in range(150):
+            samples = _random_piecewise(rng, rng.randint(1, 25), num)
+            trace = ThroughputTrace(tuple(samples))
+            last_t = samples[-1][0]
+            starts = [t for t, _ in samples]               # on a breakpoint
+            starts += [last_t + num(rng.randint(1, 30)) / 3  # past the last
+                       for _ in range(3)]
+            starts += [num(rng.randint(0, 400)) / rng.randint(1, 9)
+                       for _ in range(10)]
+            for start in starts:
+                for size in (num(0), num(rng.randint(1, 90000)) / rng.randint(1, 11),
+                             num(rng.randint(1, 3000))):
+                    got = download_finish_time(trace, start, size)
+                    want = _reference_finish(samples, start, size)
+                    assert got == want and type(got) is type(want), (
+                        samples, start, size)
+
+    def test_float_scenarios(self):
+        rng = random.Random(103)
+        for kind in ("mixed", "low"):
+            trace = generate_scenario(kind, 5, 90)
+            for _ in range(300):
+                start = rng.choice([rng.uniform(0, 100), float(rng.randint(0, 95))])
+                size = rng.uniform(1, 20000)
+                assert (download_finish_time(trace, start, size)
+                        == _reference_finish(trace.samples, start, size))
+
+
 class TestTraceInvariants:
     def test_trace_validation(self):
         with pytest.raises(ValueError):

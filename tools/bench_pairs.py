@@ -5,16 +5,17 @@ unpacked in another directory:
 
     git archive --prefix=parent/ <parent-commit> | tar -x -C /tmp
     python3 tools/bench_pairs.py --parent /tmp/parent --change . \\
-        --parent-commit <parent-commit> --out BENCH_5.json
+        --parent-commit <parent-commit> --out BENCH_7.json
 
 For each seed (11 and the held-out 1011), ten pairs of untraced
 `swipebench/run.py --workload matrix` runs alternate between the two
 sides, the parent first in even pairs and the change first in odd ones.
-The other workloads get three pairs per seed, each side one traced matrix
-run for the per-layer counts, and the change one cProfile top-20 of a
-matrix `compare`. Each side runs its own `swipebench/` on its own `src/`,
-which sets the run length. Runs are sequential; nothing else should run
-on the machine meanwhile.
+The other workloads get three pairs per seed. Each side gets one traced
+matrix run for the per-layer counts and one in-process timing of each
+strategy's milliseconds per full untraced matrix session, and the change
+one cProfile top-20 of a matrix `compare`. Each side runs its own
+`swipebench/` on its own `src/`, which sets the run length. Runs are
+sequential; nothing else should run on the machine meanwhile.
 """
 from __future__ import annotations
 
@@ -55,6 +56,46 @@ stats = pstats.Stats(prof, stream=out).strip_dirs().sort_stats("tottime")
 stats.print_stats(20)
 print(out.getvalue())
 """
+
+
+# Milliseconds per full session of each strategy, untraced: after one
+# warm-up `compare` of the whole matrix, each strategy's matrix alone is
+# run SESSION_MS_ROUNDS times in the same interpreter, and the median of
+# its batch time per session is kept.
+SESSION_MS = """
+import contextlib, io, json, statistics, sys, tempfile, time
+from pathlib import Path
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/swipebench"]
+from inputs import STRATEGIES, make_matrix
+from swipesim import cli
+batches = []
+run_batch = cli.run_batch
+def timed(*args, **kwargs):
+    t0 = time.perf_counter()
+    report = run_batch(*args, **kwargs)
+    batches.append((time.perf_counter() - t0, len(report.rows)))
+    return report
+cli.run_batch = timed
+def compare(args, out):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(args + ["--out", out]):
+            sys.exit(1)
+with tempfile.TemporaryDirectory() as tmp:
+    (Path(tmp) / "in").mkdir()
+    args = make_matrix(Path(tmp) / "in", int(sys.argv[2]))
+    compare(args, str(Path(tmp) / "warm-up"))
+    at = args.index("--strategy") + 1
+    result = {}
+    for name in STRATEGIES:
+        ms = []
+        for _ in range(int(sys.argv[3])):
+            compare(args[:at] + [name] + args[at + 1:], str(Path(tmp) / name))
+            seconds, sessions = batches[-1]
+            ms.append(1000.0 * seconds / sessions)
+        result[name] = {"median": statistics.median(ms), "runs": ms}
+print(json.dumps(result))
+"""
+SESSION_MS_ROUNDS = 5
 
 
 def bench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -122,6 +163,7 @@ def main(argv=None) -> int:
         "src_sha256": {"parent": src_digest(parent),
                        "change": src_digest(change)},
         "matrix": {}, "other_workloads": {}, "matrix_trace_1": {},
+        "session_ms": {},
     }
     for seed in SEEDS:
         report["matrix"][str(seed)] = paired(
@@ -132,6 +174,11 @@ def main(argv=None) -> int:
             for seed in SEEDS}
     for side, root in (("parent", parent), ("change", change)):
         report["matrix_trace_1"][side] = bench(root, "matrix", SEEDS[0], 1)
+        out = subprocess.run(
+            [sys.executable, "-c", SESSION_MS, str(root), str(SEEDS[0]),
+             str(SESSION_MS_ROUNDS)],
+            stdout=subprocess.PIPE, text=True, check=True).stdout
+        report["session_ms"][side] = json.loads(out)
     profile = subprocess.run(
         [sys.executable, "-c", PROFILE, str(change), str(SEEDS[0])],
         stdout=subprocess.PIPE, text=True, check=True).stdout

@@ -138,6 +138,8 @@ def _video_from_dict(entry: dict, where: str) -> VideoSpec:
 
 def _load_catalog(path) -> list[VideoSpec]:
     data = json.loads(Path(path).read_text())
+    if not isinstance(data, list):
+        raise _CliError(f"catalog {path}: expected a JSON list")
     videos = [_video_from_dict(entry, f"catalog {path}: entry {i}")
               for i, entry in enumerate(data)]
     if not videos:
@@ -440,10 +442,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, TraceFormatError, ValueError, KeyError) as exc:
+    except (_CliError, OSError, TraceFormatError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - invariant violations map to exit 2

@@ -27,10 +27,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from . import metrics
-from .core import PlayerBuffer, SessionConfig, VideoSpec
+from .core import SessionConfig, VideoSpec
 from .retention import RetentionModel, derive_thresholds, swipe_cdf
 from .strategy import Download, PlayerView, Sleep, StrategyContext
 from .throughput import ThroughputHistory, min_smooth_throughput
@@ -92,15 +93,24 @@ class VideoResult:
     bitrates: tuple[int, ...]
     rebuffer_s: tuple[float, ...]
     qoe: float
-    cost_mbit: float
-    waste_mbit: float
     watched_kbit: Union[int, float]
     waste_kbit: Union[int, float]
-    cost_kbit: Union[int, float]
 
     @property
     def rebuffer_total_s(self) -> float:
         return sum(self.rebuffer_s)
+
+    @property
+    def cost_kbit(self) -> Union[int, float]:
+        return self.watched_kbit + self.waste_kbit
+
+    @property
+    def cost_mbit(self) -> float:
+        return self.cost_kbit / 1000.0
+
+    @property
+    def waste_mbit(self) -> float:
+        return self.waste_kbit / 1000.0
 
 
 @dataclass(frozen=True)
@@ -155,8 +165,9 @@ def _model_for(model, category: str) -> RetentionModel:
 class _Simulation:
     """One simulated session and the only owner of its state.
 
-    ``players`` holds one PlayerBuffer per script video; the strategy sees
-    the window of ``views`` that starts at ``current_index``.
+    ``views`` holds one PlayerView per script video, the only download
+    count; the strategy sees the window of them from ``current_index``.
+    ``bitrates`` and ``stalls`` keep each video's rungs and stalls to score.
     """
 
     def __init__(self, script: SessionScript, trace: ThroughputTrace,
@@ -167,20 +178,20 @@ class _Simulation:
         self.strategy = strategy
         self.config = config
         self.n_videos = len(script.videos)
-        self.players: list[PlayerBuffer] = []
         self.current_index = 0
         self.wall_clock_s = 0.0
         self.playback_started = False
         self.play_chunk = 1
         self.chunk_begin_s = 0.0
-        self.rebuffering: dict[tuple[int, int], float] = {}
+        self.bitrates: list[list[int]] = [[] for _ in script.videos]
+        # stall seconds per watched chunk: the playhead stops at the swipe
+        self.stalls = [[0.0] * sp for sp in script.swipe_points]
         self.history = ThroughputHistory(config.window_chunks)
         self.views: list[PlayerView] = []
         # per video, the size of one chunk at each ladder rung; doubles as
         # the ladder check on strategy requests
         self._chunk_kbit: list[dict] = []
         for i, spec in enumerate(script.videos):
-            self.players.append(PlayerBuffer(i, spec))
             thresholds, cdf = _video_profile(
                 _model_for(model, spec.category), spec.chunk_count,
                 config.p_th_early, config.p_th_long)
@@ -196,7 +207,6 @@ class _Simulation:
         # events and the set of played chunks are kept only when recording
         self.timeline: Optional[list] = [] if record_timeline else None
         self._played: set = set()
-        self._win_lo = 0
         self._win_hi = 0
         self._ctx = StrategyContext(
             players=[], c_pred=None, c_ave=None, c_min=0.0, r_last=None,
@@ -209,7 +219,7 @@ class _Simulation:
         """Slide the window to the current video. The views keep their own
         counts: a video enters the window with no downloads, and
         _apply_download and _build_ctx keep every window view current."""
-        self._win_lo = lo = self.current_index
+        lo = self.current_index
         self._win_hi = min(lo + self.config.n_pred, self.n_videos)
         window = self.views[lo:self._win_hi]
         window[0].is_current = True
@@ -252,12 +262,12 @@ class _Simulation:
         """The one check of a strategy's download request against the live
         players; returns the chunk's size in kilobits."""
         vi = ref.video_index
-        if not self._win_lo <= vi < self._win_hi:
+        if not self.current_index <= vi < self._win_hi:
             raise SimulationError(
                 f"strategy targeted video {vi} outside the window")
-        buf = self.players[vi]
-        n = len(buf.bitrates)
-        if n >= buf.spec.chunk_count:
+        view = self.views[vi]
+        n = view.downloaded
+        if n >= view.chunk_count:
             raise SimulationError(f"strategy targeted completed video {vi}")
         if ref.chunk_index != n + 1:
             raise SimulationError(
@@ -274,21 +284,19 @@ class _Simulation:
     def _stall(self, chunk: int, dt: float):
         if dt <= 0:
             return
-        key = (self.current_index, chunk)
-        self.rebuffering[key] = self.rebuffering.get(key, 0.0) + dt
+        self.stalls[self.current_index][chunk - 1] += dt
         self.total_rebuffer += dt
 
     def _advance(self, until: float):
         """Run playback forward to ``until`` against the frozen buffers."""
-        players = self.players
+        views = self.views
         swipe_points = self.script.swipe_points
         recording = self.timeline is not None
         while self.wall_clock_s < until and not self.done:
-            buf = players[self.current_index]
-            spec = buf.spec
-            n = len(buf.bitrates)
+            view = views[self.current_index]
+            n = view.downloaded
             if not self.playback_started:
-                if n >= min(self.config.b0_startup_chunks, spec.chunk_count):
+                if n >= min(self.config.b0_startup_chunks, view.chunk_count):
                     self.playback_started = True
                     self.play_chunk = 1
                     self.chunk_begin_s = self.wall_clock_s
@@ -303,7 +311,7 @@ class _Simulation:
                 self._stall(self.play_chunk, until - self.wall_clock_s)
                 self.wall_clock_s = until
                 return
-            end_t = self.chunk_begin_s + spec.chunk_duration_s
+            end_t = self.chunk_begin_s + view.spec.chunk_duration_s
             if end_t > until:
                 self.wall_clock_s = until
                 return
@@ -333,9 +341,8 @@ class _Simulation:
 
     def _apply_download(self, ref, size_kbit, elapsed_s):
         vi = ref.video_index
-        buf = self.players[vi]
         # checked when the strategy issued it, by _validate_download
-        buf.bitrates.append(ref.bitrate_kbps)
+        self.bitrates[vi].append(ref.bitrate_kbps)
         history = self.history
         history.record_download(size_kbit, elapsed_s)
         # the estimates change only when a download lands, so set them here
@@ -343,14 +350,14 @@ class _Simulation:
         ctx.c_ave = history.window_mean()
         ctx.c_pred = history.predict(self.config.alpha1, self.config.alpha2)
         ctx.r_last = ref.bitrate_kbps
-        if self._win_lo <= vi < self._win_hi:
-            view = self.views[vi]
-            n = len(buf.bitrates)
-            view.downloaded = n
-            view.last_bitrate = ref.bitrate_kbps
-            if not view.is_current:
-                view.buffered = n
-                view.lead = float(n)
+        # a video that departed with this chunk in flight keeps its view
+        # current too; no strategy reads it again
+        view = self.views[vi]
+        view.downloaded = n = view.downloaded + 1
+        view.last_bitrate = ref.bitrate_kbps
+        if not view.is_current:
+            view.buffered = n
+            view.lead = float(n)
         timeline = self.timeline
         if timeline is not None:
             timeline.append(("dl_done", self.wall_clock_s, vi, ref.chunk_index))
@@ -363,7 +370,7 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SessionResult:
-        players = self.players
+        views = self.views
         trace = self.trace
         timeline = self.timeline
         decide = self.strategy.decide
@@ -395,9 +402,9 @@ class _Simulation:
             # wake at the sleep interval or the next chunk-playback boundary
             wake = now + action.duration_s
             if self.playback_started:
-                buf = players[self.current_index]
-                if self.play_chunk <= len(buf.bitrates):
-                    nxt = self.chunk_begin_s + buf.spec.chunk_duration_s
+                view = views[self.current_index]
+                if self.play_chunk <= view.downloaded:
+                    nxt = self.chunk_begin_s + view.spec.chunk_duration_s
                     if nxt < wake:
                         wake = nxt
             if timeline is not None:
@@ -411,29 +418,25 @@ class _Simulation:
         videos = []
         qoes = []
         costs = []
-        for i, buf in enumerate(self.players):
-            spec = buf.spec
+        for i, spec in enumerate(self.script.videos):
             watched = self.script.swipe_points[i]
-            bitrates = tuple(buf.bitrates)
-            rebuf = tuple(self.rebuffering.get((i, k), 0.0)
-                          for k in range(1, watched + 1))
+            bitrates = tuple(self.bitrates[i])
+            rebuf = tuple(self.stalls[i])
             qoe = metrics.qoe_video(bitrates[:watched], rebuf, weights,
                                     cfg.quality_metric)
             watched_kbit = metrics.total_kilobits(bitrates[:watched],
                                                   spec.chunk_duration_s)
             waste_kbit = metrics.total_kilobits(bitrates[watched:],
                                                 spec.chunk_duration_s)
-            cost_kbit = watched_kbit + waste_kbit
-            videos.append(VideoResult(
+            video = VideoResult(
                 video_id=spec.id, video_index=i, category=spec.category,
                 chunk_count=spec.chunk_count, watched_chunks=watched,
                 downloaded_chunks=len(bitrates), bitrates=bitrates,
                 rebuffer_s=rebuf, qoe=qoe,
-                cost_mbit=cost_kbit / 1000.0, waste_mbit=waste_kbit / 1000.0,
-                watched_kbit=watched_kbit, waste_kbit=waste_kbit,
-                cost_kbit=cost_kbit))
+                watched_kbit=watched_kbit, waste_kbit=waste_kbit)
+            videos.append(video)
             qoes.append(qoe)
-            costs.append(cost_kbit / 1000.0)
+            costs.append(video.cost_mbit)
         return SessionResult(
             videos=tuple(videos),
             qoe_total=sum(qoes),
@@ -448,7 +451,19 @@ class _Simulation:
 def run_session(script: SessionScript, trace: ThroughputTrace, strategy,
                 config: SessionConfig, model,
                 record_timeline: bool = False) -> SessionResult:
-    """Simulate one viewing session and score it."""
+    """Simulate one viewing session and score it.
+
+    With ``record_timeline`` the result's ``timeline`` holds one tuple per
+    event, in engine order (t seconds, v video index, k chunk index):
+
+    * ``("dl_start", t, v, k, bitrate_kbps, buffered, threshold)``: a
+      download begins; the last two are the strategy's ``Download`` fields.
+    * ``("dl_done", t, v, k)``: that chunk lands.
+    * ``("play", t, v, k)``: the playhead starts chunk k, once per chunk.
+    * ``("swipe", t, v)``: the user leaves video v.
+    * ``("sleep", t, wake_t)``: the strategy idles until ``wake_t``.
+    * ``("end", t)``: the session closes, at the last swipe.
+    """
     return _Simulation(script, trace, strategy, config, model,
                        record_timeline).run()
 
@@ -497,9 +512,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _percentile(sorted_vals: Sequence[float], q: float) -> float:
-    n = len(sorted_vals)
-    rank = max(1, math.ceil(q * n))
+def _csv(header: str, rows) -> str:
+    """The header, then one line per row of the row's fields that the
+    header names, in its order."""
+    columns = attrgetter(*header.split(","))
+    lines = [header]
+    for r in rows:
+        lines.append(",".join(map(_fmt, columns(r))))
+    return "\n".join(lines) + "\n"
+
+
+def _mean(values: Sequence[float]) -> Optional[float]:
+    return sum(values) / len(values) if values else None
+
+
+def _percentile(sorted_vals: Sequence[float], q: float) -> Optional[float]:
+    if not sorted_vals:
+        return None
+    rank = max(1, math.ceil(q * len(sorted_vals)))
     return sorted_vals[rank - 1]
 
 
@@ -510,23 +540,10 @@ class BatchReport:
     seed: int
 
     def sessions_csv(self) -> str:
-        lines = [SESSION_CSV_HEADER]
-        for r in self.rows:
-            lines.append(",".join([
-                r.strategy, r.scenario, r.script_id, r.trace_id,
-                _fmt(r.qoe), _fmt(r.cost_mbit), _fmt(r.waste_mbit),
-                _fmt(r.utility), _fmt(r.rebuffer_s)]))
-        return "\n".join(lines) + "\n"
+        return _csv(SESSION_CSV_HEADER, self.rows)
 
     def aggregates_csv(self) -> str:
-        lines = [AGGREGATE_CSV_HEADER]
-        for a in self.aggregates:
-            lines.append(",".join([
-                a.strategy, a.scenario, str(a.sessions), str(a.starved),
-                _fmt(a.mean_qoe), _fmt(a.mean_cost_mbit), _fmt(a.mean_waste_mbit),
-                _fmt(a.mean_utility), _fmt(a.mean_rebuffer_s),
-                _fmt(a.p50_utility), _fmt(a.p90_utility)]))
-        return "\n".join(lines) + "\n"
+        return _csv(AGGREGATE_CSV_HEADER, self.aggregates)
 
     def to_json_dict(self) -> dict:
         return {
@@ -555,48 +572,31 @@ def run_batch(scripts: Sequence[SessionScript], traces: Sequence[TraceRef],
             for tr in traces:
                 try:
                     res = run_session(script, tr.trace, strat, config, model)
-                    row = SessionRow(
-                        strategy=strat.name, scenario=tr.scenario,
-                        script_id=script.script_id, trace_id=tr.trace_id,
-                        status="ok", qoe=res.qoe_total,
-                        cost_mbit=res.cost_mbit_total,
-                        waste_mbit=res.waste_mbit_total,
-                        utility=res.utility, rebuffer_s=res.rebuffer_total_s)
+                    outcome = ("ok", res.qoe_total, res.cost_mbit_total,
+                               res.waste_mbit_total, res.utility,
+                               res.rebuffer_total_s)
                 except StarvationError:
-                    row = SessionRow(
-                        strategy=strat.name, scenario=tr.scenario,
-                        script_id=script.script_id, trace_id=tr.trace_id,
-                        status="starved", qoe=None, cost_mbit=None,
-                        waste_mbit=None, utility=None, rebuffer_s=None)
+                    outcome = ("starved",) + (None,) * 5
+                row = SessionRow(strat.name, tr.scenario, script.script_id,
+                                 tr.trace_id, *outcome)
                 rows.append(row)
                 cells.setdefault((row.strategy, row.scenario), []).append(row)
-    scenario_order = []
-    for tr in traces:
-        if tr.scenario not in scenario_order:
-            scenario_order.append(tr.scenario)
+    scenario_order = dict.fromkeys(tr.scenario for tr in traces)
     aggregates = []
     for strat in strategies:
         for scenario in scenario_order:
             cell = cells[strat.name, scenario]
+            # a cell with no ok session gets None means and percentiles
             ok = [r for r in cell if r.status == "ok"]
-            if ok:
-                utils = sorted(r.utility for r in ok)
-                agg = AggregateRow(
-                    strategy=strat.name, scenario=scenario,
-                    sessions=len(cell), starved=len(cell) - len(ok),
-                    mean_qoe=sum(r.qoe for r in ok) / len(ok),
-                    mean_cost_mbit=sum(r.cost_mbit for r in ok) / len(ok),
-                    mean_waste_mbit=sum(r.waste_mbit for r in ok) / len(ok),
-                    mean_utility=sum(r.utility for r in ok) / len(ok),
-                    mean_rebuffer_s=sum(r.rebuffer_s for r in ok) / len(ok),
-                    p50_utility=_percentile(utils, 0.5),
-                    p90_utility=_percentile(utils, 0.9))
-            else:
-                agg = AggregateRow(
-                    strategy=strat.name, scenario=scenario,
-                    sessions=len(cell), starved=len(cell),
-                    mean_qoe=None, mean_cost_mbit=None, mean_waste_mbit=None,
-                    mean_utility=None, mean_rebuffer_s=None,
-                    p50_utility=None, p90_utility=None)
-            aggregates.append(agg)
+            utils = sorted(r.utility for r in ok)
+            aggregates.append(AggregateRow(
+                strategy=strat.name, scenario=scenario,
+                sessions=len(cell), starved=len(cell) - len(ok),
+                mean_qoe=_mean([r.qoe for r in ok]),
+                mean_cost_mbit=_mean([r.cost_mbit for r in ok]),
+                mean_waste_mbit=_mean([r.waste_mbit for r in ok]),
+                mean_utility=_mean([r.utility for r in ok]),
+                mean_rebuffer_s=_mean([r.rebuffer_s for r in ok]),
+                p50_utility=_percentile(utils, 0.5),
+                p90_utility=_percentile(utils, 0.9)))
     return BatchReport(rows=tuple(rows), aggregates=tuple(aggregates), seed=seed)

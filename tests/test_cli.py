@@ -90,6 +90,15 @@ class TestRun:
         assert payload["utility"] == pytest.approx(
             payload["qoe"] - 0.5 * payload["cost_mbit"])
 
+    def test_golden_output(self, capsys):
+        # pins one session's per-video results, the only output that prints
+        # each video's cost_mbit and waste_mbit
+        assert run_cli("run", "--seed", "7", "--strategy", "dtaap",
+                       "--scenario", "mixed") == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == (
+            "72f7df890cae83df73f8ff6bae66a36143e424d91c128c2e6b1b17d2bc397e0d")
+
 
 class TestCompare:
     def test_matrix_shape(self, tmp_path):
@@ -217,6 +226,15 @@ class TestCompare:
                        option, str(path), "--out", str(tmp_path / "x")) == 1
         err = capsys.readouterr().err
         assert str(path) in err and "entry 0" in err and detail in err
+
+    def test_catalog_that_is_not_a_list_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps({"a": {"id": "v0"}}))
+        assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                       "--n-scripts", "1", "--n-traces", "1", "--duration", "60",
+                       "--catalog", str(path), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert f"catalog {path}: expected a JSON list" in err
 
     def test_script_with_unknown_video_names_file_script_and_id(
             self, tmp_path, capsys):

@@ -177,6 +177,16 @@ def _fill_then(action):
     return decide
 
 
+def _after_first_swipe(action):
+    """Play the on-screen video in order at its lowest rung; once the first
+    swipe has moved the window past video 0, return ``action``."""
+    fill = _fill_then(Sleep(0.5))
+
+    def decide(ctx):
+        return action if ctx.players[0].video_index > 0 else fill(ctx)
+    return decide
+
+
 class TestStrategyBoundary:
     """The engine rejects every malformed action a strategy can return."""
 
@@ -185,6 +195,8 @@ class TestStrategyBoundary:
     @pytest.mark.parametrize("decide, message", [
         (lambda ctx: Download(ChunkRef(5, 1, 750)),
          "video 5 outside the window"),
+        (_after_first_swipe(Download(ChunkRef(0, 1, 750))),
+         "video 0 outside the window"),
         (_fill_then(Download(ChunkRef(0, 3, 750))), "completed video 0"),
         (lambda ctx: Download(ChunkRef(0, 2, 750)),
          "requested chunk 2 of video 0, next needed is 1"),
@@ -196,9 +208,9 @@ class TestStrategyBoundary:
         (lambda ctx: Sleep(-0.5), "invalid strategy action"),
         (lambda ctx: None, "invalid strategy action None"),
         (lambda ctx: "sleep", "invalid strategy action 'sleep'"),
-    ], ids=["outside-window", "completed-video", "chunk-order",
-            "off-ladder", "unhashable-bitrate", "zero-sleep", "negative-sleep",
-            "none", "string"])
+    ], ids=["outside-window", "departed-video", "completed-video",
+            "chunk-order", "off-ladder", "unhashable-bitrate", "zero-sleep",
+            "negative-sleep", "none", "string"])
     def test_rogue_action_raises(self, decide, message):
         with pytest.raises(SimulationError, match=message):
             run_session(self.SCRIPT, const_trace(2000),
@@ -310,6 +322,19 @@ class TestRunBatch:
     def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
             run_batch([], [], [], CFG, MODEL)
+
+    def test_all_starved_cell_has_no_means(self):
+        script = SessionScript("s", videos_of(1, 2, LADDER1), (2,))
+        dead = TraceRef("dead", "low", ThroughputTrace(((0.0, 0.0),)))
+        report = run_batch([script], [dead], [make_strategy("dtaap")], CFG,
+                           MODEL)
+        (agg,) = report.aggregates
+        assert agg.sessions == agg.starved == 1
+        assert all(value is None for value in (
+            agg.mean_qoe, agg.mean_cost_mbit, agg.mean_waste_mbit,
+            agg.mean_utility, agg.mean_rebuffer_s, agg.p50_utility,
+            agg.p90_utility))
+        assert report.aggregates_csv().splitlines()[1] == "dtaap,low,1,1,,,,,,,"
 
 
 class TestScripts:

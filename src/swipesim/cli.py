@@ -23,12 +23,11 @@ from pathlib import Path
 
 from .core import BitrateLadder, SessionConfig, VideoSpec
 from .engine import TraceRef, SessionScript, run_batch, run_session, sample_script
-from .retention import build_model, model_from_json, model_to_json
+from .retention import build_model, model_from_dict, model_to_json
 from .strategy import STRATEGY_NAMES, make_strategy
 from .trace_io import (
     SCENARIO_KINDS,
     BehaviorTrace,
-    TraceFormatError,
     generate_scenario,
     parse_behavior_traces,
     parse_throughput_trace,
@@ -108,42 +107,59 @@ def _group_by_category(traces) -> dict:
     return grouped
 
 
+class _Object(dict):
+    """A JSON object of an input file: a missing field is an input error."""
+
+    def __missing__(self, name):
+        raise ValueError(f"missing field {name!r}")
+
+
+def _read_input(what: str, path, parse, json_type=None):
+    """The one reader of the CLI's input files: ``parse`` the text, or the JSON
+    of top-level ``json_type``; a failure exits 1 as ``<what> <path>: <detail>``."""
+    try:
+        data = Path(path).read_text()
+        if json_type is not None:
+            data = json.loads(data, object_hook=_Object)
+            if not isinstance(data, json_type):
+                kind = "list" if json_type is list else "object"
+                raise ValueError(f"expected a JSON {kind}")
+        return parse(data)
+    except (OSError, ValueError, TypeError) as exc:
+        raise _CliError(f"{what} {path}: {exc}") from None
+
+
+def _each(label: str, items, build) -> list:
+    """``build`` of every item of a JSON list; an error names the item."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(build(item))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{label} {i}: {exc}") from None
+    return out
+
+
 def _load_config(path) -> SessionConfig:
     if path is None:
         return SessionConfig()
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise _CliError(f"config {path}: expected a JSON object")
-    try:
-        return SessionConfig(**data)
-    except (TypeError, ValueError) as exc:
-        raise _CliError(f"config {path}: {exc}") from None
+    return _read_input("config", path, lambda data: SessionConfig(**data), dict)
 
 
-def _video_from_dict(entry: dict, where: str) -> VideoSpec:
-    """One catalog entry; ``where`` names the file and entry in errors."""
+def _video_from_dict(entry) -> VideoSpec:
     if not isinstance(entry, dict):
-        raise _CliError(f"{where}: expected a JSON object")
-    try:
-        return VideoSpec(
-            id=str(entry["id"]), category=str(entry["category"]),
-            chunk_count=int(entry["chunk_count"]),
-            chunk_duration_s=float(entry["chunk_duration_s"]),
-            ladder=BitrateLadder(tuple(entry["ladder_kbps"])))
-    except KeyError as exc:
-        raise _CliError(f"{where}: missing field {exc.args[0]!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise _CliError(f"{where}: {exc}") from None
+        raise ValueError("expected a JSON object")
+    return VideoSpec(
+        id=str(entry["id"]), category=str(entry["category"]),
+        chunk_count=int(entry["chunk_count"]),
+        chunk_duration_s=float(entry["chunk_duration_s"]),
+        ladder=BitrateLadder(tuple(entry["ladder_kbps"])))
 
 
-def _load_catalog(path) -> list[VideoSpec]:
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, list):
-        raise _CliError(f"catalog {path}: expected a JSON list")
-    videos = [_video_from_dict(entry, f"catalog {path}: entry {i}")
-              for i, entry in enumerate(data)]
+def _catalog(data) -> list[VideoSpec]:
+    videos = _each("entry", data, _video_from_dict)
     if not videos:
-        raise _CliError(f"catalog {path}: no videos")
+        raise ValueError("no videos")
     return videos
 
 
@@ -155,24 +171,22 @@ def _catalog_to_dicts(videos) -> list[dict]:
     } for v in videos]
 
 
-def _load_scripts(path) -> list[SessionScript]:
-    data = json.loads(Path(path).read_text())
-    by_id = {}
-    for i, entry in enumerate(data["catalog"]):
-        spec = _video_from_dict(entry, f"scripts {path}: catalog entry {i}")
-        by_id[spec.id] = spec
-    scripts = []
-    for i, entry in enumerate(data["scripts"]):
+def _scripts(data) -> list[SessionScript]:
+    by_id = {spec.id: spec for spec in
+             _each("catalog entry", data["catalog"], _video_from_dict)}
+
+    def script(entry) -> SessionScript:
         unknown = [vid for vid in entry["videos"] if vid not in by_id]
         if unknown:
-            raise _CliError(f"scripts {path}: script {i}: video id "
-                            f"{unknown[0]!r} is not in its catalog")
-        videos = tuple(by_id[vid] for vid in entry["videos"])
-        scripts.append(SessionScript(
-            script_id=str(entry["id"]), videos=videos,
-            swipe_points=tuple(int(k) for k in entry["swipe_points"])))
+            raise ValueError(f"video id {unknown[0]!r} is not in its catalog")
+        return SessionScript(
+            script_id=str(entry["id"]),
+            videos=tuple(by_id[vid] for vid in entry["videos"]),
+            swipe_points=tuple(int(k) for k in entry["swipe_points"]))
+
+    scripts = _each("script", data["scripts"], script)
     if not scripts:
-        raise _CliError(f"scripts {path}: no scripts")
+        raise ValueError("no scripts")
     return scripts
 
 
@@ -193,9 +207,9 @@ def _scripts_to_dict(scripts) -> dict:
 
 def _build_scripts(args, behavior, n_scripts: int) -> list[SessionScript]:
     if args.scripts:
-        return _load_scripts(args.scripts)
-    catalog = (_load_catalog(args.catalog) if args.catalog
-               else default_catalog(args.seed))
+        return _read_input("scripts", args.scripts, _scripts, dict)
+    catalog = (_read_input("catalog", args.catalog, _catalog, list)
+               if args.catalog else default_catalog(args.seed))
     grouped = _group_by_category(behavior)
     rng = random.Random(f"scripts:{args.seed}")
     scripts = []
@@ -208,7 +222,7 @@ def _build_scripts(args, behavior, n_scripts: int) -> list[SessionScript]:
 
 def _build_behavior(args) -> list[BehaviorTrace]:
     if args.behavior:
-        return parse_behavior_traces(Path(args.behavior).read_text())
+        return _read_input("behavior", args.behavior, parse_behavior_traces)
     return default_behavior(args.seed)
 
 
@@ -218,7 +232,7 @@ def _load_trace_dir(path) -> list[TraceRef]:
         raise _CliError(f"no .csv traces found in {path}")
     refs = []
     for f in files:
-        trace = parse_throughput_trace(f.read_text())
+        trace = _read_input("trace", f, parse_throughput_trace)
         tokens = f.stem.split("_")
         scenario = next((k for k in SCENARIO_KINDS if k in tokens), "custom")
         refs.append(TraceRef(trace_id=f.stem, scenario=scenario, trace=trace))
@@ -263,7 +277,7 @@ def _write_json(path: Path, data: dict):
 
 
 def cmd_model_build(args) -> int:
-    traces = parse_behavior_traces(Path(args.behavior_csv).read_text())
+    traces = _read_input("behavior", args.behavior_csv, parse_behavior_traces)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     categories = sorted({tr.category for tr in traces})
@@ -295,7 +309,7 @@ def _resolve_models(args, behavior):
     """The per-category models, or the one ``--model`` that the engine then
     applies to every category."""
     if args.model:
-        return model_from_json(Path(args.model).read_text())
+        return _read_input("model", args.model, model_from_dict, dict)
     grouped = _group_by_category(behavior)
     return {cat: build_model(traces, cat) for cat, traces in grouped.items()}
 
@@ -442,11 +456,11 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliError, OSError, TraceFormatError, ValueError, KeyError) as exc:
+    except (_CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - invariant violations map to exit 2
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

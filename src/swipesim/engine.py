@@ -204,9 +204,7 @@ class _Simulation:
         self.rebuffer_marker = 0.0
         self.done = False
         self.end_t = 0.0
-        # events and the set of played chunks are kept only when recording
         self.timeline: Optional[list] = [] if record_timeline else None
-        self._played: set = set()
         self._win_hi = 0
         self._ctx = StrategyContext(
             players=[], c_pred=None, c_ave=None, c_min=0.0, r_last=None,
@@ -232,12 +230,9 @@ class _Simulation:
         self._ctx.c_min = min_smooth_throughput(cur, [nxt] * b0, b0)
 
     def _emit_play(self):
-        """Record the start of the playhead chunk, once per chunk; call only
-        while recording."""
-        key = (self.current_index, self.play_chunk)
-        if key not in self._played:
-            self._played.add(key)
-            self.timeline.append(("play", self.wall_clock_s) + key)
+        """Record the start of the playhead chunk, which starts only once;
+        call only while recording."""
+        self.timeline.append(("play", self.wall_clock_s, self.current_index, self.play_chunk))
 
     # -- decision points --------------------------------------------------
 

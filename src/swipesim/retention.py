@@ -134,14 +134,6 @@ def swipe_cdf(model: RetentionModel, total_chunks: int) -> tuple[float, ...]:
     return tuple(out)
 
 
-def model_to_dict(model: RetentionModel) -> dict:
-    return {
-        "category": model.category,
-        "trace_count": model.trace_count,
-        "mass": list(model.mass),
-    }
-
-
 def model_from_dict(data: dict) -> RetentionModel:
     return RetentionModel(
         category=data["category"],
@@ -151,7 +143,9 @@ def model_from_dict(data: dict) -> RetentionModel:
 
 
 def model_to_json(model: RetentionModel) -> str:
-    return json.dumps(model_to_dict(model), sort_keys=True, indent=2)
+    return json.dumps({"category": model.category,
+                       "trace_count": model.trace_count,
+                       "mass": list(model.mass)}, sort_keys=True, indent=2)
 
 
 def model_from_json(text: str) -> RetentionModel:

@@ -3,7 +3,9 @@
 Every strategy answers one question whenever the downloader is idle: which
 player's next contiguous chunk to fetch at which bitrate, or sleep. The
 context passed in is a read-only snapshot of the player window (players[0]
-is the one on screen) plus throughput estimates.
+is the one on screen) plus throughput estimates. Playback of the current
+video waits for min(b0, K) chunks, so every strategy fetches those before
+it sleeps, whatever its own target: sleeping below them never ends.
 
 Buffer depth targets of the adaptive (dtaap) strategy, per video length K
 and behavior thresholds k_min / k_early / k_long (while the channel cannot
@@ -292,10 +294,13 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
         # playhead cushion first, then startup insurance for every window
         # player, then bank the window in order; never leave channel idle
         cur = ctx.players[0]
-        cushion = min(STARVED_PLAYHEAD_CUSHION, cur.chunk_count)
-        if not cur.complete and cur.buffered < cushion:
-            return _download(cur, dtaap_bitrate(ctx, 0), threshold=cushion)
         b0 = ctx.config.b0_startup_chunks
+        cushion = min(STARVED_PLAYHEAD_CUSHION, cur.chunk_count)
+        if not cur.complete:
+            if cur.buffered < cushion:
+                return _download(cur, dtaap_bitrate(ctx, 0), threshold=cushion)
+            if cur.downloaded < b0:
+                return _download(cur, dtaap_bitrate(ctx, 0), threshold=b0)
         for j in range(1, len(ctx.players)):
             p = ctx.players[j]
             need = min(b0, p.chunk_count)
@@ -311,6 +316,9 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
         b_th = buffer_threshold_current(ctx)
         if cur.buffered < b_th:
             return _download(cur, dtaap_bitrate(ctx, 0), threshold=b_th)
+        b0 = ctx.config.b0_startup_chunks
+        if cur.downloaded < b0:
+            return _download(cur, dtaap_bitrate(ctx, 0), threshold=b0)
     for j in range(1, len(ctx.players)):
         p = ctx.players[j]
         if p.complete:
@@ -324,8 +332,12 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
 def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
     """Shared scan order of the fixed-threshold baselines."""
     cur = ctx.players[0]
-    if not cur.complete and cur.buffered < b_current:
-        return _download(cur, cur.ladder.match(ctx.c_ave), threshold=b_current)
+    if not cur.complete:
+        if cur.buffered < b_current:
+            return _download(cur, cur.ladder.match(ctx.c_ave), threshold=b_current)
+        b0 = ctx.config.b0_startup_chunks
+        if cur.downloaded < b0:
+            return _download(cur, cur.ladder.match(ctx.c_ave), threshold=b0)
     for p in ctx.players[1:]:
         if not p.complete and p.buffered < b_next:
             return _download(p, p.ladder.match(ctx.c_ave), threshold=b_next)
@@ -380,7 +392,8 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
 
     Each player's buffer is capped at the last chunk the user is more
     likely than not to reach; for the current player the cap slides with
-    the playhead so playback always progresses.
+    the playhead and covers the startup chunks, so playback always
+    progresses.
     """
     if ctx.c_ave is None:
         return _warmup_action(ctx)
@@ -390,7 +403,7 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
         cap = p.retention_cap
         if p.is_current:
             play_need = p.downloaded - p.buffered + 1
-            cap = max(cap, play_need)
+            cap = max(cap, play_need, ctx.config.b0_startup_chunks)
         if p.downloaded < cap:
             weighted = ctx.c_ave * _reach_probability(p, p.next_needed)
             return _download(p, p.ladder.match(weighted), threshold=cap)

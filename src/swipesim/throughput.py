@@ -30,9 +30,6 @@ class ThroughputHistory:
         self.last_sample_kbps = None
         self._mean = None
 
-    def __len__(self) -> int:
-        return len(self.window)
-
     def record_download(self, chunk_size_kbit, elapsed_s) -> None:
         """Fold one finished chunk download into the window."""
         if elapsed_s <= 0:

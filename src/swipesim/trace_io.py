@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
@@ -35,6 +36,13 @@ class TraceFormatError(ValueError):
     """Raised for malformed trace files; messages carry the line number."""
 
 
+class TraceSampleError(TraceFormatError):
+    """A sample that breaks a :class:`ThroughputTrace` rule; args: (index, rule)."""
+
+    def __str__(self):
+        return "sample {}: {}".format(*self.args)
+
+
 @dataclass(frozen=True)
 class ThroughputTrace:
     """Piecewise-constant bandwidth series; immutable once built."""
@@ -42,23 +50,22 @@ class ThroughputTrace:
     samples: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        samples = tuple((t, bw) for t, bw in self.samples)
+        # tuple() hands a tuple back as it is
+        samples = tuple(self.samples)
         object.__setattr__(self, "samples", samples)
         if not samples:
-            raise ValueError("trace must contain at least one sample")
+            raise TraceFormatError("trace must contain at least one sample")
         if samples[0][0] != 0:
-            raise ValueError("trace must start at timestamp 0")
-        starts = []
+            raise TraceSampleError(0, "trace must start at timestamp 0")
         inf = math.inf
         prev = -inf
-        for t, bw in samples:
+        for i, (t, bw) in enumerate(samples):
             if not prev < t < inf:
-                raise ValueError("trace timestamps must be finite and strictly increasing")
+                raise TraceSampleError(i, "timestamps must be finite and strictly increasing")
             if not 0 <= bw < inf:
-                raise ValueError("bandwidth must be finite and non-negative")
-            starts.append(t)
+                raise TraceSampleError(i, "bandwidth must be finite and non-negative")
             prev = t
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_starts", tuple([t for t, _ in samples]))
 
     def segment_index(self, t) -> int:
         return bisect_right(self._starts, t) - 1
@@ -70,12 +77,11 @@ class ThroughputTrace:
 
 
 def parse_throughput_trace(text: str) -> ThroughputTrace:
-    """Parse a throughput CSV (see module docstring for the format)."""
+    """Parse a throughput CSV (see module docstring for the format); a
+    sample that :class:`ThroughputTrace` rejects is reported at its line."""
     samples = []
-    inf = math.inf
-    prev = -inf
-    lines = text.splitlines()
-    for lineno, raw in enumerate(lines, start=1):
+    linenos = array("l")  # not int objects, which would scatter the samples in memory
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -85,21 +91,15 @@ def parse_throughput_trace(text: str) -> ThroughputTrace:
         if len(parts) != 2:
             raise TraceFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
         try:
-            t, bw = float(parts[0]), float(parts[1])
+            samples.append((float(parts[0]), float(parts[1])))
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-numeric field") from None
-        if not 0 <= bw < inf:
-            raise TraceFormatError(f"line {lineno}: bandwidth must be finite and non-negative")
-        if not prev < t < inf:
-            raise TraceFormatError(
-                f"line {lineno}: timestamps must be finite and strictly increasing")
-        samples.append((t, bw))
-        prev = t
-    if not samples:
-        raise TraceFormatError("empty trace")
-    if samples[0][0] != 0:
-        raise TraceFormatError("trace must start at timestamp 0")
-    return ThroughputTrace(tuple(samples))
+        linenos.append(lineno)
+    try:
+        return ThroughputTrace(tuple(samples))
+    except TraceSampleError as exc:
+        index, rule = exc.args
+        raise TraceFormatError(f"line {linenos[index]}: {rule}") from None
 
 
 def _num(x) -> str:

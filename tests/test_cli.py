@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from swipesim import cli
 from swipesim.cli import _load_trace_dir, default_behavior, main
 from swipesim.retention import build_model, model_from_json, model_to_json
 from swipesim.trace_io import (
@@ -276,3 +277,67 @@ def test_repeated_name_is_input_error(tmp_path, capsys, argv, name):
     err = capsys.readouterr().err
     assert "repeated" in err and name in err
     assert not out.exists()
+
+
+VIDEO = {"id": "v0", "category": "quick", "chunk_count": 10,
+         "chunk_duration_s": 1.0, "ladder_kbps": [750, 1200]}
+
+
+def _scripts_json(**script):
+    entry = {"id": "s0", "videos": ["v0"], "swipe_points": [3], **script}
+    return json.dumps({"catalog": [VIDEO],
+                       "scripts": [{k: v for k, v in entry.items() if v is not None}]})
+
+
+@pytest.mark.parametrize("option, name, text, where", [
+    ("--scripts", "scripts.json", json.dumps({"catalog": [VIDEO]}),
+     "missing field 'scripts'"),
+    ("--scripts", "scripts.json", _scripts_json(swipe_points=None),
+     "script 0: missing field 'swipe_points'"),
+    ("--scripts", "scripts.json", json.dumps([VIDEO]),
+     "expected a JSON object"),
+    ("--scripts", "scripts.json", _scripts_json(swipe_points=["x"]),
+     "script 0: invalid literal"),
+    ("--scripts", "scripts.json", _scripts_json(swipe_points=[11]),
+     "script 0: swipe point 11 out of range"),
+    ("--model", "model.json", json.dumps({"category": "quick", "trace_count": 1}),
+     "missing field 'mass'"),
+    ("--catalog", "catalog.json", "[{", "Expecting"),
+    ("--config", "config.json", '{"w4": }', "Expecting"),
+    ("--scripts", "scripts.json", '{"catalog"', "Expecting"),
+    ("--model", "model.json", "", "Expecting"),
+    ("--traces", "traces/high_00.csv", "0,2000\n1,1500\n2,abc\n",
+     "line 3: non-numeric field"),
+    ("--behavior", "behavior.csv", "t1,quick,10,5\nt2,quick,10,11\n",
+     "line 2: trace t2: swipe_chunk 11 out of range"),
+    ("model build", "behavior.csv", "t1,quick,10,5\nt2,quick,ten,1\n",
+     "line 2: non-integer chunk count"),
+], ids=["scripts-no-scripts", "script-no-swipe-points", "scripts-list",
+        "swipe-point-not-int", "swipe-point-out-of-range", "model-no-mass",
+        "catalog-json", "config-json", "scripts-json", "model-json",
+        "trace-row", "behavior-row", "model-build-behavior-row"])
+def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
+                                          text, where):
+    path = tmp_path / name
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(text)
+    out = str(tmp_path / "out")
+    if option == "model build":
+        argv = ["model", "build", str(path), "--out", out]
+    else:
+        given = path.parent if option == "--traces" else path
+        argv = ["compare", "--strategy", "fixb", "--scenario", "high",
+                "--n-scripts", "1", "--n-traces", "1", "--duration", "60",
+                option, str(given), "--out", out]
+    assert run_cli(*argv) == 1
+    assert f"{path}: {where}" in capsys.readouterr().err
+
+
+def test_key_error_that_escapes_is_internal(tmp_path, capsys, monkeypatch):
+    def broken(text):
+        raise KeyError("x")
+    monkeypatch.setattr(cli, "parse_behavior_traces", broken)
+    csv = tmp_path / "behavior.csv"
+    csv.write_text("t1,quick,10,5\n")
+    assert run_cli("model", "build", str(csv), "--out", str(tmp_path / "m")) == 2
+    assert "internal error: KeyError: 'x'" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import random
 import pytest
 from _oracle import brute_force_session, canonical
 
+from swipesim.cli import default_behavior, default_catalog
 from swipesim.core import BitrateLadder, ChunkRef, SessionConfig, VideoSpec
 from swipesim.engine import (
     SessionScript,
@@ -385,3 +386,41 @@ class TestModelLookup:
         with pytest.raises(ValueError):
             run_session(script, const_trace(3000), make_strategy("dtaap"),
                         CFG, {"other": MODEL})
+
+
+class TestStartupNeed:
+    """Playback of the current video waits for min(b0, K) chunks, so a
+    strategy that idles below that sleeps on a context that never changes."""
+
+    @staticmethod
+    def bounded(strategy, limit=100_000):
+        calls = itertools.count(1)
+
+        def decide(ctx):
+            if next(calls) > limit:
+                raise AssertionError(f"{strategy.name}: no end after {limit} decisions")
+            return strategy.decide(ctx)
+        return Strategy(strategy.name, decide)
+
+    @pytest.mark.parametrize("b0", [1, 2, 3])
+    @pytest.mark.parametrize("name, fixb", [
+        *((n, (4, 2)) for n in STRATEGY_NAMES), ("fixb", (1, 1))],
+        ids=[*STRATEGY_NAMES, "fixb-1-1"])
+    def test_every_strategy_finishes(self, name, fixb, b0):
+        behavior = default_behavior(b0)
+        models = {cat: build_model(behavior, cat) for cat in ("quick", "drama")}
+        by_category = {cat: [tr for tr in behavior if tr.category == cat]
+                       for cat in models}
+        catalog = default_catalog(b0)
+        rng = random.Random(f"startup:{b0}")
+        config = SessionConfig(b0_startup_chunks=b0)
+        for i in range(8):
+            videos = [rng.choice(catalog) for _ in range(6)]
+            script = sample_script(f"s{i}", videos, by_category, rng)
+            for kind in ("high", "medium", "low", "mixed"):
+                trace = generate_scenario(kind, i, 300)
+                res = run_session(script, trace,
+                                  self.bounded(make_strategy(name, *fixb)),
+                                  config, models)
+                assert [v.watched_chunks for v in res.videos] == list(
+                    script.swipe_points)

@@ -62,6 +62,13 @@ class TestParseThroughput:
         with pytest.raises(TraceFormatError):
             parse_throughput_trace("")
 
+    def test_rejected_sample_reports_its_line(self):
+        header = "timestamp_s,bandwidth_kbps\n\n"
+        with pytest.raises(TraceFormatError, match="line 3: trace must start"):
+            parse_throughput_trace(header + "2,100\n")
+        with pytest.raises(TraceFormatError, match="line 5: timestamps"):
+            parse_throughput_trace(header + "0,100\n\n0,200\n")
+
     def test_roundtrip(self):
         trace = generate_scenario("medium", 3, 30)
         again = parse_throughput_trace(serialize_throughput_trace(trace))
@@ -284,3 +291,11 @@ class TestTraceInvariants:
     def test_rejects_non_finite(self, samples):
         with pytest.raises(ValueError):
             ThroughputTrace(samples)
+
+    def test_rule_names_the_sample(self):
+        with pytest.raises(ValueError, match="sample 2: bandwidth"):
+            ThroughputTrace(((0.0, 1.0), (1.0, 2.0), (2.0, -1.0)))
+
+    def test_tuple_is_kept(self):
+        samples = ((0.0, 100.0), (1.0, 50.0))
+        assert ThroughputTrace(samples).samples is samples

@@ -146,12 +146,22 @@ def _load_config(path) -> SessionConfig:
     return _read_input("config", path, lambda data: SessionConfig(**data), dict)
 
 
+def _count(value, field: str) -> int:
+    """A whole count read from JSON; ``true`` and ``10.7`` are rejected, not
+    read as 1 and 10."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"field {field!r}: expected an integer, got "
+                         f"{json.dumps(value)}")
+    return int(value)
+
+
 def _video_from_dict(entry) -> VideoSpec:
     if not isinstance(entry, dict):
         raise ValueError("expected a JSON object")
     return VideoSpec(
         id=str(entry["id"]), category=str(entry["category"]),
-        chunk_count=int(entry["chunk_count"]),
+        chunk_count=_count(entry["chunk_count"], "chunk_count"),
         chunk_duration_s=float(entry["chunk_duration_s"]),
         ladder=BitrateLadder(tuple(entry["ladder_kbps"])))
 
@@ -182,7 +192,8 @@ def _scripts(data) -> list[SessionScript]:
         return SessionScript(
             script_id=str(entry["id"]),
             videos=tuple(by_id[vid] for vid in entry["videos"]),
-            swipe_points=tuple(int(k) for k in entry["swipe_points"]))
+            swipe_points=tuple(_count(k, "swipe_points")
+                               for k in entry["swipe_points"]))
 
     scripts = _each("script", data["scripts"], script)
     if not scripts:
@@ -320,14 +331,18 @@ def cmd_run(args) -> int:
     behavior = _build_behavior(args)
     models = _resolve_models(args, behavior)
     scripts = _build_scripts(args, behavior, n_scripts=1)
-    traces = _build_traces(args, [args.scenario], n_traces=1,
-                           duration_s=args.duration)
-    res = run_session(scripts[0], traces[0].trace, strategy, config, models)
+    trace = next((ref for ref in _build_traces(args, [args.scenario], 1,
+                                               args.duration)
+                  if ref.scenario == args.scenario), None)
+    if trace is None:
+        raise _CliError(f"traces {args.traces}: no trace labelled with "
+                        f"scenario {args.scenario!r}")
+    res = run_session(scripts[0], trace.trace, strategy, config, models)
     payload = {
         "strategy": strategy.name,
-        "scenario": traces[0].scenario,
+        "scenario": trace.scenario,
         "script_id": scripts[0].script_id,
-        "trace_id": traces[0].trace_id,
+        "trace_id": trace.trace_id,
         "qoe": res.qoe_total,
         "cost_mbit": res.cost_mbit_total,
         "waste_mbit": res.waste_mbit_total,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 
 def _slot_setters(cls) -> list:
@@ -101,6 +102,12 @@ class VideoSpec:
 
     def chunk_size_kbit(self, bitrate_kbps):
         return chunk_kbit(bitrate_kbps, self.chunk_duration_s)
+
+    @cached_property
+    def chunk_kbit_by_rate(self) -> dict:
+        """``{bitrate: chunk kilobits}`` over the ladder, built on first use;
+        shared by every session of the video, so read it, never change it."""
+        return {r: self.chunk_size_kbit(r) for r in self.ladder.levels}
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -208,7 +215,8 @@ class SessionConfig:
         for name, low in (("b0_startup_chunks", 1), ("n_pred", 2),
                           ("window_chunks", 1)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < low:
+            # a JSON true is an int to isinstance, but not a count
+            if isinstance(v, bool) or not isinstance(v, int) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
         if not 0 < self.t_sleep_s < math.inf:
             raise ValueError("t_sleep_s must be finite and > 0")

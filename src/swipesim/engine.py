@@ -31,7 +31,7 @@ from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from . import metrics
-from .core import SessionConfig, VideoSpec
+from .core import SessionConfig, VideoSpec, _slot_setters
 from .retention import RetentionModel, derive_thresholds, swipe_cdf
 from .strategy import Download, PlayerView, Sleep, StrategyContext
 from .throughput import ThroughputHistory, min_smooth_throughput
@@ -82,8 +82,12 @@ class TraceRef:
     trace: ThroughputTrace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class VideoResult:
+    """One video of a scored session. Built once per video of every
+    session, so it sets its fields through their slots (see
+    ``core._slot_setters``)."""
+
     video_id: str
     video_index: int
     category: str
@@ -95,6 +99,24 @@ class VideoResult:
     qoe: float
     watched_kbit: Union[int, float]
     waste_kbit: Union[int, float]
+
+    def __init__(self, video_id: str, video_index: int, category: str,
+                 chunk_count: int, watched_chunks: int,
+                 downloaded_chunks: int, bitrates: tuple[int, ...],
+                 rebuffer_s: tuple[float, ...], qoe: float,
+                 watched_kbit: Union[int, float],
+                 waste_kbit: Union[int, float]):
+        _set_video_id(self, video_id)
+        _set_video_index(self, video_index)
+        _set_category(self, category)
+        _set_chunk_count(self, chunk_count)
+        _set_watched_chunks(self, watched_chunks)
+        _set_downloaded_chunks(self, downloaded_chunks)
+        _set_bitrates(self, bitrates)
+        _set_rebuffer_s(self, rebuffer_s)
+        _set_qoe(self, qoe)
+        _set_watched_kbit(self, watched_kbit)
+        _set_waste_kbit(self, waste_kbit)
 
     @property
     def rebuffer_total_s(self) -> float:
@@ -111,6 +133,11 @@ class VideoResult:
     @property
     def waste_mbit(self) -> float:
         return self.waste_kbit / 1000.0
+
+
+(_set_video_id, _set_video_index, _set_category, _set_chunk_count,
+ _set_watched_chunks, _set_downloaded_chunks, _set_bitrates, _set_rebuffer_s,
+ _set_qoe, _set_watched_kbit, _set_waste_kbit) = _slot_setters(VideoResult)
 
 
 @dataclass(frozen=True)
@@ -198,8 +225,7 @@ class _Simulation:
             self.views.append(PlayerView(
                 spec=spec, video_index=i, downloaded=0, buffered=0,
                 is_current=False, thresholds=thresholds, swipe_cdf=cdf))
-            self._chunk_kbit.append({r: spec.chunk_size_kbit(r)
-                                     for r in spec.ladder.levels})
+            self._chunk_kbit.append(spec.chunk_kbit_by_rate)
         self.total_rebuffer = 0.0
         self.rebuffer_marker = 0.0
         self.done = False
@@ -410,25 +436,23 @@ class _Simulation:
     def _result(self) -> SessionResult:
         cfg = self.config
         weights = metrics.QoEWeights(cfg.w1, cfg.w2, cfg.w3)
+        quality_metric = cfg.quality_metric
         videos = []
         qoes = []
         costs = []
-        for i, spec in enumerate(self.script.videos):
-            watched = self.script.swipe_points[i]
-            bitrates = tuple(self.bitrates[i])
-            rebuf = tuple(self.stalls[i])
-            qoe = metrics.qoe_video(bitrates[:watched], rebuf, weights,
-                                    cfg.quality_metric)
-            watched_kbit = metrics.total_kilobits(bitrates[:watched],
-                                                  spec.chunk_duration_s)
-            waste_kbit = metrics.total_kilobits(bitrates[watched:],
-                                                spec.chunk_duration_s)
+        for i, (spec, watched, rungs, stalls) in enumerate(zip(
+                self.script.videos, self.script.swipe_points, self.bitrates,
+                self.stalls)):
+            bitrates = tuple(rungs)
+            rebuf = tuple(stalls)
+            seen = bitrates[:watched]
+            t0 = spec.chunk_duration_s
+            qoe = metrics.qoe_video(seen, rebuf, weights, quality_metric)
             video = VideoResult(
-                video_id=spec.id, video_index=i, category=spec.category,
-                chunk_count=spec.chunk_count, watched_chunks=watched,
-                downloaded_chunks=len(bitrates), bitrates=bitrates,
-                rebuffer_s=rebuf, qoe=qoe,
-                watched_kbit=watched_kbit, waste_kbit=waste_kbit)
+                spec.id, i, spec.category, spec.chunk_count, watched,
+                len(bitrates), bitrates, rebuf, qoe,
+                metrics.total_kilobits(seen, t0),
+                metrics.total_kilobits(bitrates[watched:], t0))
             videos.append(video)
             qoes.append(qoe)
             costs.append(video.cost_mbit)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import sub
 from typing import Sequence
 
 from .core import chunk_kbit
@@ -44,16 +46,17 @@ def qoe_video(watched_bitrates: Sequence, rebuffer_s: Sequence,
     """Score one video over its watched chunks."""
     if len(watched_bitrates) != len(rebuffer_s):
         raise ValueError("bitrate and rebuffer lists must have equal length")
-    q = [quality(r, metric) for r in watched_bitrates]
+    q = list(map(quality, watched_bitrates, repeat(metric)))
     base = weights.w1 * sum(q)
-    variation = weights.w2 * sum(abs(b - a) for a, b in zip(q, q[1:]))
+    # |q[k+1] - q[k]| for each adjacent pair, summed in chunk order
+    variation = weights.w2 * sum(map(abs, map(sub, q[1:], q)))
     stalls = weights.w3 * sum(rebuffer_s)
     return base - variation - stalls
 
 
 def total_kilobits(bitrates: Sequence, t0_s):
     """Sum of chunk sizes in kilobits; stays an int for integral sizes."""
-    return sum(chunk_kbit(r, t0_s) for r in bitrates)
+    return sum(map(chunk_kbit, bitrates, repeat(t0_s)))
 
 
 def utility(qoes: Sequence, costs_mbit: Sequence, w4: float) -> float:

@@ -21,7 +21,14 @@ BIN_COUNT = 100
 
 @dataclass(frozen=True)
 class RetentionModel:
-    """Percentile-binned swipe-mass distribution for one video category."""
+    """Percentile-binned swipe-mass distribution for one video category.
+
+    Models are equal by value. The hash is the value hash, computed once on
+    construction: the engine looks each video's profile up by its model, and
+    hashing the 100-float mass on every lookup cost more than the lookup. A
+    ``str`` hashes differently in another interpreter, so a model pickles
+    and copies by value and its copy computes the hash anew.
+    """
 
     category: str
     mass: tuple[float, ...]
@@ -37,6 +44,14 @@ class RetentionModel:
             raise ValueError(f"mass must sum to 1, got {total!r}")
         if self.trace_count < 1:
             raise ValueError("trace_count must be >= 1")
+        object.__setattr__(self, "_hash", hash(
+            (self.category, self.mass, self.trace_count)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.category, self.mass, self.trace_count)
 
 
 @dataclass(frozen=True)

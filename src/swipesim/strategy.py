@@ -375,11 +375,14 @@ def networkbased_decide(ctx: StrategyContext) -> Action:
 def pdas_retention_cap(swipe_cdf) -> int:
     """pdas_lite's buffer cap for a video: the largest chunk index the user
     survives past with probability > 0.5, or 1 if there is none. Fixed per
-    video, so :class:`PlayerView` computes it once, when the view is built."""
+    video, so :class:`PlayerView` computes it once, when the view is built.
+    A swipe cdf never decreases, so the chunks that pass form a prefix and
+    the scan stops at the first one that fails."""
     cap = 1
     for k, mass in enumerate(swipe_cdf, start=1):
-        if 1.0 - mass > PDAS_RETENTION_CUTOFF:
-            cap = k
+        if not 1.0 - mass > PDAS_RETENTION_CUTOFF:
+            break
+        cap = k
     return cap
 
 

@@ -91,6 +91,28 @@ class TestRun:
         assert payload["utility"] == pytest.approx(
             payload["qoe"] - 0.5 * payload["cost_mbit"])
 
+    def test_traces_dir_follows_scenario(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for name, kind, seed in (("high_00", "high", 1), ("low_00", "low", 2),
+                                 ("mixed_00", "mixed", 3)):
+            (traces / f"{name}.csv").write_text(serialize_throughput_trace(
+                generate_scenario(kind, seed, 120.0)))
+        capsys.readouterr()
+        for kind in ("low", "mixed", "high"):
+            assert run_cli("run", "--seed", "5", "--scenario", kind,
+                           "--traces", str(traces)) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["scenario"], payload["trace_id"]) == (
+                kind, f"{kind}_00")
+        # no trace of the asked-for scenario: exit 1 naming both
+        assert run_cli("run", "--seed", "5", "--scenario", "medium",
+                       "--traces", str(traces)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"traces {traces}: no trace labelled with scenario 'medium'" in (
+            captured.err)
+
     def test_golden_output(self, capsys):
         # pins one session's per-video results, the only output that prints
         # each video's cost_mbit and waste_mbit
@@ -312,10 +334,25 @@ def _scripts_json(**script):
      "line 2: trace t2: swipe_chunk 11 out of range"),
     ("model build", "behavior.csv", "t1,quick,10,5\nt2,quick,ten,1\n",
      "line 2: non-integer chunk count"),
+    ("--catalog", "catalog.json", json.dumps([{**VIDEO, "chunk_count": 10.7}]),
+     "entry 0: field 'chunk_count': expected an integer, got 10.7"),
+    ("--catalog", "catalog.json", json.dumps([{**VIDEO, "chunk_count": True}]),
+     "entry 0: field 'chunk_count': expected an integer, got true"),
+    ("--scripts", "scripts.json", json.dumps({
+        "catalog": [{**VIDEO, "chunk_count": 9.5}],
+        "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]}]}),
+     "catalog entry 0: field 'chunk_count': expected an integer, got 9.5"),
+    ("--scripts", "scripts.json", _scripts_json(swipe_points=[3.5]),
+     "script 0: field 'swipe_points': expected an integer, got 3.5"),
+    ("--scripts", "scripts.json", _scripts_json(swipe_points=[True]),
+     "script 0: field 'swipe_points': expected an integer, got true"),
 ], ids=["scripts-no-scripts", "script-no-swipe-points", "scripts-list",
         "swipe-point-not-int", "swipe-point-out-of-range", "model-no-mass",
         "catalog-json", "config-json", "scripts-json", "model-json",
-        "trace-row", "behavior-row", "model-build-behavior-row"])
+        "trace-row", "behavior-row", "model-build-behavior-row",
+        "chunk-count-fraction", "chunk-count-bool",
+        "scripts-chunk-count-fraction", "swipe-point-fraction",
+        "swipe-point-bool"])
 def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
                                           text, where):
     path = tmp_path / name
@@ -331,6 +368,22 @@ def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
                 option, str(given), "--out", out]
     assert run_cli(*argv) == 1
     assert f"{path}: {where}" in capsys.readouterr().err
+
+
+def test_integral_counts_still_load(tmp_path):
+    # 12 and 12.0 are the same JSON number; so are the swipe points
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps([{**VIDEO, "chunk_count": 12},
+                                   {**VIDEO, "id": "v1", "chunk_count": 12.0}]))
+    assert [v.chunk_count for v in cli._read_input(
+        "catalog", catalog, cli._catalog, list)] == [12, 12]
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(_scripts_json(swipe_points=[3.0]))
+    [script] = cli._read_input("scripts", scripts, cli._scripts, dict)
+    assert script.swipe_points == (3,) and type(script.swipe_points[0]) is int
+    assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                   "--n-traces", "1", "--duration", "60", "--scripts",
+                   str(scripts), "--out", str(tmp_path / "out")) == 0
 
 
 def test_key_error_that_escapes_is_internal(tmp_path, capsys, monkeypatch):

@@ -125,6 +125,10 @@ class TestSessionConfig:
         {"w4": math.nan},
         {"t_sleep_s": math.inf},
         {"b0_startup_chunks": 1.5},
+        {"b0_startup_chunks": True},
+        {"n_pred": True},
+        {"window_chunks": True},
+        {"window_chunks": False},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from swipesim.engine import (
     SimulationError,
     StarvationError,
     TraceRef,
+    VideoResult,
     run_batch,
     run_session,
     sample_script,
@@ -386,6 +387,59 @@ class TestModelLookup:
         with pytest.raises(ValueError):
             run_session(script, const_trace(3000), make_strategy("dtaap"),
                         CFG, {"other": MODEL})
+
+
+class TestVideoResult:
+    def _result(self):
+        script = SessionScript("s", videos_of(3, 6), (2, 6, 1))
+        res = run_session(script, const_trace(3000), make_strategy("nextone"),
+                          CFG, MODEL)
+        return res.videos[0]
+
+    def test_frozen_and_slotted(self):
+        v = self._result()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.qoe = 0.0
+        assert not hasattr(v, "__dict__")
+
+    def test_equal_by_value(self):
+        v = self._result()
+        again = VideoResult(*(getattr(v, f.name)
+                              for f in dataclasses.fields(VideoResult)))
+        assert again == v and again is not v
+        assert VideoResult(**{f.name: getattr(v, f.name)
+                              for f in dataclasses.fields(VideoResult)}) == v
+        assert dataclasses.replace(v, qoe=v.qoe + 1.0) != v
+
+    def test_replace_and_cost(self):
+        v = self._result()
+        # swiped at chunk 2 with more downloaded: the rest is waste
+        assert v.watched_chunks == 2 and v.downloaded_chunks > 2
+        assert v.waste_kbit > 0
+        assert v.cost_kbit == v.watched_kbit + v.waste_kbit
+        w = dataclasses.replace(v, waste_kbit=v.waste_kbit + 750)
+        assert w.cost_kbit == w.watched_kbit + w.waste_kbit
+        assert w.cost_kbit == v.cost_kbit + 750
+        assert (w.video_id, w.bitrates, w.rebuffer_s) == (
+            v.video_id, v.bitrates, v.rebuffer_s)
+        assert w.waste_mbit == w.waste_kbit / 1000.0
+        assert w.cost_mbit == w.cost_kbit / 1000.0
+
+
+class TestChunkSizeTable:
+    def test_one_table_per_video(self):
+        spec = VideoSpec("a", "cat", 4, 1.5, LADDER3)
+        table = spec.chunk_kbit_by_rate
+        assert table == {r: spec.chunk_size_kbit(r) for r in LADDER3.levels}
+        assert table is spec.chunk_kbit_by_rate
+        # a session reads the table but leaves it as it was
+        script = SessionScript("s", (spec,), (4,))
+        run_session(script, const_trace(3000), make_strategy("dtaap"), CFG,
+                    MODEL)
+        assert spec.chunk_kbit_by_rate == {750: 1125, 1200: 1800,
+                                           1850: 2775}
+        # value equality of videos ignores the cached table
+        assert spec == VideoSpec("a", "cat", 4, 1.5, LADDER3)
 
 
 class TestStartupNeed:

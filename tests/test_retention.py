@@ -1,4 +1,12 @@
+import copy
+import dataclasses
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,3 +143,73 @@ class TestModelJson:
             RetentionModel("cat", (0.5,) * 100, 1)
         with pytest.raises(ValueError):
             RetentionModel("cat", (0.1,) * 10, 1)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PAIRS = [(5, 10), (10, 10), (1, 7)]
+
+# Unpickles the model read from stdin (hex), builds the same model from
+# PAIRS, and reports both hashes and two lookups of the engine's profile
+# cache: one by the model built there, then one by the unpickled copy.
+UNPICKLE = """
+import json, pickle, sys
+from swipesim.engine import _video_profile
+from swipesim.retention import build_model
+from swipesim.trace_io import BehaviorTrace
+model = pickle.loads(bytes.fromhex(sys.stdin.read()))
+built = build_model([BehaviorTrace(f"t{i}", "cat", total, swipe)
+                     for i, (swipe, total) in enumerate(json.loads(sys.argv[1]))],
+                    "cat")
+_video_profile.cache_clear()
+_video_profile(built, 10, 0.3, 0.1)
+_video_profile(model, 10, 0.3, 0.1)
+info = _video_profile.cache_info()
+print(json.dumps({"equal": model == built, "hash": hash(model),
+                  "built": hash(built), "str": hash("cat"),
+                  "hits": info.hits, "misses": info.misses}))
+"""
+
+
+class TestModelHash:
+    def test_equal_models_hash_equal(self):
+        model = build_model(traces_of(PAIRS), "cat")
+        again = build_model(traces_of(PAIRS), "cat")
+        assert model == again and model is not again
+        assert hash(model) == hash(again)
+        by_hand = RetentionModel("cat", model.mass, model.trace_count)
+        assert by_hand == model and hash(by_hand) == hash(model)
+        # the value hash, the one the generated dataclass hash would give
+        assert hash(model) == hash(("cat", model.mass, model.trace_count))
+        assert {model: 1}[again] == 1
+        assert build_model(traces_of(PAIRS, "dog"), "dog") != model
+        assert build_model(traces_of(PAIRS[:2]), "cat") != model
+
+    def test_copy_and_replace_rehash(self):
+        model = build_model(traces_of(PAIRS), "cat")
+        for twin in (copy.copy(model), copy.deepcopy(model),
+                     pickle.loads(pickle.dumps(model))):
+            assert twin == model and hash(twin) == hash(model)
+        renamed = dataclasses.replace(model, category="dog")
+        assert renamed.category == "dog" and renamed != model
+        assert hash(renamed) == hash(("dog", model.mass, model.trace_count))
+        same = dataclasses.replace(model)
+        assert same == model and hash(same) == hash(model)
+        # a replaced field is checked like a new model
+        with pytest.raises(ValueError):
+            dataclasses.replace(model, trace_count=0)
+
+    def test_unpickled_in_another_interpreter_rehashes(self):
+        model = build_model(traces_of(PAIRS), "cat")
+        # a hash seed other than this interpreter's, so that str hashes differ
+        seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", UNPICKLE, json.dumps(PAIRS)],
+            input=pickle.dumps(model).hex(), capture_output=True, text=True,
+            env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["str"] != hash("cat")
+        assert out["equal"]
+        assert out["hash"] == out["built"] != hash(model)
+        assert (out["hits"], out["misses"]) == (1, 1)

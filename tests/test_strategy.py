@@ -365,6 +365,28 @@ class TestPdasRetentionCap:
         # models whose cdf stops a rounding step short of 1 are covered
         assert tails > 0
 
+    def test_zero_prefixes_and_short_tails_match_full_scan(self):
+        below_one = 1.0 - 2 ** -53
+        cdfs = [(0.0,) * 9 + (1.0,), (0.0,) * 4 + (0.3, 0.5, below_one),
+                (0.0, 0.0, 0.5, below_one), (0.0,) * 3, (below_one,) * 2,
+                (0.0, 0.49999999999999994, 0.5), (0.0,) * 7 + (below_one,)]
+        # models whose every view runs to a late chunk: the cdf starts
+        # with zeros and may end a rounding step below 1
+        rng = random.Random(307)
+        for _ in range(100):
+            traces = []
+            for i in range(rng.randint(1, 30)):
+                total = rng.randint(2, 90)
+                traces.append(BehaviorTrace(f"t{i}", "cat", total, rng.randint(
+                    max(1, total - rng.randint(0, 3)), total)))
+            model = build_model(traces, "cat")
+            cdfs += [swipe_cdf(model, rng.randint(1, 60)) for _ in range(2)]
+        zero_prefixes = sum(cdf[0] == 0.0 for cdf in cdfs)
+        tails = sum(cdf[-1] < 1.0 for cdf in cdfs)
+        assert zero_prefixes > 100 and tails > 10
+        for cdf in cdfs:
+            assert pdas_retention_cap(cdf) == _cap_by_rule(cdf), cdf
+
 
 class TestActions:
     REF = ChunkRef(2, 3, 1200)

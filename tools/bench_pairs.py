@@ -5,17 +5,18 @@ unpacked in another directory:
 
     git archive --prefix=parent/ <parent-commit> | tar -x -C /tmp
     python3 tools/bench_pairs.py --parent /tmp/parent --change . \\
-        --parent-commit <parent-commit> --out BENCH_7.json
+        --parent-commit <parent-commit> --claim swipe-storm --out BENCH_10.json
 
-For each seed (11 and the held-out 1011), ten pairs of untraced
-`swipebench/run.py --workload matrix` runs alternate between the two
-sides, the parent first in even pairs and the change first in odd ones.
-The other workloads get three pairs per seed. Each side gets one traced
-matrix run for the per-layer counts and one in-process timing of each
-strategy's milliseconds per full untraced matrix session, and the change
-one cProfile top-20 of a matrix `compare`. Each side runs its own
-`swipebench/` on its own `src/`, which sets the run length. Runs are
-sequential; nothing else should run on the machine meanwhile.
+``--claim`` names the workload whose gain the change claims. For each seed
+(11 and the held-out 1011), ten pairs of untraced `swipebench/run.py` runs
+of that workload alternate between the two sides, the parent first in even
+pairs and the change first in odd ones. Every other workload gets three
+pairs per seed. On the claimed workload each side also gets one traced run
+for the per-layer counts and one in-process timing of each strategy's
+milliseconds per full untraced session, and the change one cProfile top-20
+of a `compare`. Each side runs its own `swipebench/` on its own `src/`,
+which sets the run length. Runs are sequential; nothing else should run on
+the machine meanwhile.
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ import sys
 from pathlib import Path
 
 SEEDS = (11, 1011)
-MATRIX_PAIRS = 10
+WORKLOADS = ("matrix", "fine-trace", "swipe-storm")
+CLAIM_PAIRS = 10
 OTHER_PAIRS = 3
 # host metrics summarised per side; the simulated ones must be equal
 HOST_METRICS = ("sessions_per_s", "total_s", "setup_s", "cpu_s",
@@ -40,11 +42,11 @@ PROFILE = """
 import cProfile, io, pstats, sys, tempfile
 from pathlib import Path
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/swipebench"]
-from inputs import make_matrix
+from inputs import WORKLOADS
 from swipesim import cli
 with tempfile.TemporaryDirectory() as tmp:
     (Path(tmp) / "in").mkdir()
-    args = make_matrix(Path(tmp) / "in", int(sys.argv[2]))
+    args = WORKLOADS[sys.argv[3]][0](Path(tmp) / "in", int(sys.argv[2]))
     prof = cProfile.Profile()
     prof.enable()
     rc = cli.main(args + ["--out", str(Path(tmp) / "out")])
@@ -59,14 +61,14 @@ print(out.getvalue())
 
 
 # Milliseconds per full session of each strategy, untraced: after one
-# warm-up `compare` of the whole matrix, each strategy's matrix alone is
+# warm-up `compare` of the whole workload, each strategy's part alone is
 # run SESSION_MS_ROUNDS times in the same interpreter, and the median of
 # its batch time per session is kept.
 SESSION_MS = """
 import contextlib, io, json, statistics, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/swipebench"]
-from inputs import STRATEGIES, make_matrix
+from inputs import STRATEGIES, WORKLOADS
 from swipesim import cli
 batches = []
 run_batch = cli.run_batch
@@ -82,7 +84,7 @@ def compare(args, out):
             sys.exit(1)
 with tempfile.TemporaryDirectory() as tmp:
     (Path(tmp) / "in").mkdir()
-    args = make_matrix(Path(tmp) / "in", int(sys.argv[2]))
+    args = WORKLOADS[sys.argv[4]][0](Path(tmp) / "in", int(sys.argv[2]))
     compare(args, str(Path(tmp) / "warm-up"))
     at = args.index("--strategy") + 1
     result = {}
@@ -153,34 +155,38 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--parent-commit", required=True)
+    parser.add_argument("--claim", choices=WORKLOADS, required=True,
+                        help="the workload whose gain the change claims")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
+    claim = args.claim
     report = {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "parent_commit": args.parent_commit,
         "src_sha256": {"parent": src_digest(parent),
                        "change": src_digest(change)},
-        "matrix": {}, "other_workloads": {}, "matrix_trace_1": {},
-        "session_ms": {},
+        "claim": claim, "claimed": {}, "other_workloads": {},
+        "claimed_trace_1": {}, "session_ms": {},
     }
     for seed in SEEDS:
-        report["matrix"][str(seed)] = paired(
-            parent, change, "matrix", seed, MATRIX_PAIRS)
-    for workload in ("fine-trace", "swipe-storm"):
-        report["other_workloads"][workload] = {
-            str(seed): paired(parent, change, workload, seed, OTHER_PAIRS)
-            for seed in SEEDS}
+        report["claimed"][str(seed)] = paired(
+            parent, change, claim, seed, CLAIM_PAIRS)
+    for workload in WORKLOADS:
+        if workload != claim:
+            report["other_workloads"][workload] = {
+                str(seed): paired(parent, change, workload, seed, OTHER_PAIRS)
+                for seed in SEEDS}
     for side, root in (("parent", parent), ("change", change)):
-        report["matrix_trace_1"][side] = bench(root, "matrix", SEEDS[0], 1)
+        report["claimed_trace_1"][side] = bench(root, claim, SEEDS[0], 1)
         out = subprocess.run(
             [sys.executable, "-c", SESSION_MS, str(root), str(SEEDS[0]),
-             str(SESSION_MS_ROUNDS)],
+             str(SESSION_MS_ROUNDS), claim],
             stdout=subprocess.PIPE, text=True, check=True).stdout
         report["session_ms"][side] = json.loads(out)
     profile = subprocess.run(
-        [sys.executable, "-c", PROFILE, str(change), str(SEEDS[0])],
+        [sys.executable, "-c", PROFILE, str(change), str(SEEDS[0]), claim],
         stdout=subprocess.PIPE, text=True, check=True).stdout
     # the command's own output (the files it wrote) precedes the stats
     lines = profile.splitlines()

@@ -237,6 +237,11 @@ def _build_behavior(args) -> list[BehaviorTrace]:
     return default_behavior(args.seed)
 
 
+# the label of a --traces file whose name holds no scenario kind; `run
+# --scenario` accepts it, to select such a file
+CUSTOM_SCENARIO = "custom"
+
+
 def _load_trace_dir(path) -> list[TraceRef]:
     files = sorted(Path(path).glob("*.csv"))
     if not files:
@@ -245,7 +250,8 @@ def _load_trace_dir(path) -> list[TraceRef]:
     for f in files:
         trace = _read_input("trace", f, parse_throughput_trace)
         tokens = f.stem.split("_")
-        scenario = next((k for k in SCENARIO_KINDS if k in tokens), "custom")
+        scenario = next((k for k in SCENARIO_KINDS if k in tokens),
+                        CUSTOM_SCENARIO)
         refs.append(TraceRef(trace_id=f.stem, scenario=scenario, trace=trace))
     return refs
 
@@ -451,7 +457,8 @@ def build_parser() -> _Parser:
     p_run = sub.add_parser("run", parents=[session],
                            help="simulate a single session")
     p_run.add_argument("--strategy", default="dtaap", choices=STRATEGY_NAMES)
-    p_run.add_argument("--scenario", default="high", choices=SCENARIO_KINDS)
+    p_run.add_argument("--scenario", default="high",
+                       choices=SCENARIO_KINDS + (CUSTOM_SCENARIO,))
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
 

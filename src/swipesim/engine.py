@@ -31,7 +31,7 @@ from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Union
 
 from . import metrics
-from .core import SessionConfig, VideoSpec, _slot_setters
+from .core import SessionConfig, VideoSpec
 from .retention import RetentionModel, derive_thresholds, swipe_cdf
 from .strategy import Download, PlayerView, Sleep, StrategyContext
 from .throughput import ThroughputHistory, min_smooth_throughput
@@ -82,12 +82,8 @@ class TraceRef:
     trace: ThroughputTrace
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True)
 class VideoResult:
-    """One video of a scored session. Built once per video of every
-    session, so it sets its fields through their slots (see
-    ``core._slot_setters``)."""
-
     video_id: str
     video_index: int
     category: str
@@ -99,24 +95,6 @@ class VideoResult:
     qoe: float
     watched_kbit: Union[int, float]
     waste_kbit: Union[int, float]
-
-    def __init__(self, video_id: str, video_index: int, category: str,
-                 chunk_count: int, watched_chunks: int,
-                 downloaded_chunks: int, bitrates: tuple[int, ...],
-                 rebuffer_s: tuple[float, ...], qoe: float,
-                 watched_kbit: Union[int, float],
-                 waste_kbit: Union[int, float]):
-        _set_video_id(self, video_id)
-        _set_video_index(self, video_index)
-        _set_category(self, category)
-        _set_chunk_count(self, chunk_count)
-        _set_watched_chunks(self, watched_chunks)
-        _set_downloaded_chunks(self, downloaded_chunks)
-        _set_bitrates(self, bitrates)
-        _set_rebuffer_s(self, rebuffer_s)
-        _set_qoe(self, qoe)
-        _set_watched_kbit(self, watched_kbit)
-        _set_waste_kbit(self, waste_kbit)
 
     @property
     def rebuffer_total_s(self) -> float:
@@ -133,11 +111,6 @@ class VideoResult:
     @property
     def waste_mbit(self) -> float:
         return self.waste_kbit / 1000.0
-
-
-(_set_video_id, _set_video_index, _set_category, _set_chunk_count,
- _set_watched_chunks, _set_downloaded_chunks, _set_bitrates, _set_rebuffer_s,
- _set_qoe, _set_watched_kbit, _set_waste_kbit) = _slot_setters(VideoResult)
 
 
 @dataclass(frozen=True)
@@ -449,10 +422,12 @@ class _Simulation:
             t0 = spec.chunk_duration_s
             qoe = metrics.qoe_video(seen, rebuf, weights, quality_metric)
             video = VideoResult(
-                spec.id, i, spec.category, spec.chunk_count, watched,
-                len(bitrates), bitrates, rebuf, qoe,
-                metrics.total_kilobits(seen, t0),
-                metrics.total_kilobits(bitrates[watched:], t0))
+                video_id=spec.id, video_index=i, category=spec.category,
+                chunk_count=spec.chunk_count, watched_chunks=watched,
+                downloaded_chunks=len(bitrates), bitrates=bitrates,
+                rebuffer_s=rebuf, qoe=qoe,
+                watched_kbit=metrics.total_kilobits(seen, t0),
+                waste_kbit=metrics.total_kilobits(bitrates[watched:], t0))
             videos.append(video)
             qoes.append(qoe)
             costs.append(video.cost_mbit)

@@ -112,6 +112,23 @@ class TestRun:
         assert captured.out == ""
         assert f"traces {traces}: no trace labelled with scenario 'medium'" in (
             captured.err)
+        # a file whose name holds no scenario kind is `custom`, and `run
+        # --scenario custom` selects it
+        own = tmp_path / "own"
+        own.mkdir()
+        (own / "trace_highway.csv").write_text(serialize_throughput_trace(
+            generate_scenario("high", 4, 120.0)))
+        assert run_cli("run", "--seed", "5", "--scenario", "custom",
+                       "--traces", str(own)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["scenario"], payload["trace_id"]) == (
+            "custom", "trace_highway")
+        assert run_cli("run", "--seed", "5", "--traces", str(own)) == 1
+        assert f"traces {own}: no trace labelled with scenario 'high'" in (
+            capsys.readouterr().err)
+        # without --traces there is no custom trace to generate
+        assert run_cli("run", "--seed", "5", "--scenario", "custom") == 1
+        assert "unknown scenario 'custom'" in capsys.readouterr().err
 
     def test_golden_output(self, capsys):
         # pins one session's per-video results, the only output that prints

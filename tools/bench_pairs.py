@@ -31,12 +31,19 @@ import sys
 from pathlib import Path
 
 SEEDS = (11, 1011)
-WORKLOADS = ("matrix", "fine-trace", "swipe-storm")
 CLAIM_PAIRS = 10
 OTHER_PAIRS = 3
 # host metrics summarised per side; the simulated ones must be equal
 HOST_METRICS = ("sessions_per_s", "total_s", "setup_s", "cpu_s",
                 "peak_rss_mb")
+
+# the workload names, read from the change's own `swipebench/inputs.py`
+WORKLOAD_NAMES = """
+import json, sys
+sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/swipebench"]
+from inputs import WORKLOADS
+print(json.dumps(list(WORKLOADS)))
+"""
 
 PROFILE = """
 import cProfile, io, pstats, sys, tempfile
@@ -155,12 +162,18 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--parent-commit", required=True)
-    parser.add_argument("--claim", choices=WORKLOADS, required=True,
+    parser.add_argument("--claim", required=True,
                         help="the workload whose gain the change claims")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
+    workloads = json.loads(subprocess.run(
+        [sys.executable, "-c", WORKLOAD_NAMES, str(change)],
+        stdout=subprocess.PIPE, text=True, check=True).stdout)
     claim = args.claim
+    if claim not in workloads:
+        parser.error(f"--claim: {claim!r} is not a workload of "
+                     f"{change}/swipebench; choose one of {workloads}")
     report = {
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
@@ -173,7 +186,7 @@ def main(argv=None) -> int:
     for seed in SEEDS:
         report["claimed"][str(seed)] = paired(
             parent, change, claim, seed, CLAIM_PAIRS)
-    for workload in WORKLOADS:
+    for workload in workloads:
         if workload != claim:
             report["other_workloads"][workload] = {
                 str(seed): paired(parent, change, workload, seed, OTHER_PAIRS)

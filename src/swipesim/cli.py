@@ -34,7 +34,11 @@ from .trace_io import (
     serialize_throughput_trace,
 )
 
-SCENARIO_REPORT_ORDER = ("high", "medium", "low", "mixed")
+# the label of a --traces file whose name holds no scenario kind; `run` and
+# `compare --scenario` accept it, to select such files
+CUSTOM_SCENARIO = "custom"
+# every label `run` and `compare --scenario` accept, in report order
+SCENARIO_LABELS = SCENARIO_KINDS + (CUSTOM_SCENARIO,)
 DEFAULT_LADDER = (750, 1200, 1850)
 DEFAULT_CATEGORIES = ("quick", "drama")
 DEFAULT_VIDEOS_PER_SCRIPT = 8
@@ -237,11 +241,6 @@ def _build_behavior(args) -> list[BehaviorTrace]:
     return default_behavior(args.seed)
 
 
-# the label of a --traces file whose name holds no scenario kind; `run
-# --scenario` accepts it, to select such a file
-CUSTOM_SCENARIO = "custom"
-
-
 def _load_trace_dir(path) -> list[TraceRef]:
     files = sorted(Path(path).glob("*.csv"))
     if not files:
@@ -257,8 +256,16 @@ def _load_trace_dir(path) -> list[TraceRef]:
 
 
 def _build_traces(args, scenarios, n_traces: int, duration_s: float) -> list[TraceRef]:
+    """The ``--traces`` files labelled with one of ``scenarios``, or
+    ``n_traces`` generated traces of each scenario."""
     if args.traces:
-        return _load_trace_dir(args.traces)
+        refs = [ref for ref in _load_trace_dir(args.traces)
+                if ref.scenario in scenarios]
+        if not refs:
+            kinds = " or ".join(map(repr, scenarios))
+            raise _CliError(f"traces {args.traces}: no trace labelled with "
+                            f"scenario {kinds}")
+        return refs
     refs = []
     for kind in scenarios:
         for i in range(n_traces):
@@ -337,12 +344,7 @@ def cmd_run(args) -> int:
     behavior = _build_behavior(args)
     models = _resolve_models(args, behavior)
     scripts = _build_scripts(args, behavior, n_scripts=1)
-    trace = next((ref for ref in _build_traces(args, [args.scenario], 1,
-                                               args.duration)
-                  if ref.scenario == args.scenario), None)
-    if trace is None:
-        raise _CliError(f"traces {args.traces}: no trace labelled with "
-                        f"scenario {args.scenario!r}")
+    trace = _build_traces(args, [args.scenario], 1, args.duration)[0]
     res = run_session(scripts[0], trace.trace, strategy, config, models)
     payload = {
         "strategy": strategy.name,
@@ -377,8 +379,8 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     strategy_names = _parse_names(args.strategy, STRATEGY_NAMES, "strategy")
-    scenarios = _parse_names(args.scenario, SCENARIO_KINDS, "scenario")
-    scenarios.sort(key=SCENARIO_REPORT_ORDER.index)
+    scenarios = _parse_names(args.scenario, SCENARIO_LABELS, "scenario")
+    scenarios.sort(key=SCENARIO_LABELS.index)
     strategies = [make_strategy(n, args.fixb_current, args.fixb_next)
                   for n in strategy_names]
     behavior = _build_behavior(args)
@@ -458,7 +460,7 @@ def build_parser() -> _Parser:
                            help="simulate a single session")
     p_run.add_argument("--strategy", default="dtaap", choices=STRATEGY_NAMES)
     p_run.add_argument("--scenario", default="high",
-                       choices=SCENARIO_KINDS + (CUSTOM_SCENARIO,))
+                       choices=SCENARIO_LABELS)
     p_run.add_argument("--out")
     p_run.set_defaults(func=cmd_run)
 

@@ -4,7 +4,10 @@ piecewise-constant channel model.
 Throughput CSV: header ``timestamp_s,bandwidth_kbps`` (header optional on
 input), one sample per row, finite timestamps strictly increasing from 0,
 finite non-negative bandwidths. The bandwidth holds constant from each
-timestamp until the next; the final sample extends forever.
+timestamp until the next; the final sample extends forever. A
+:class:`ThroughputTrace` holds the samples as two columns, the timestamps
+and the bandwidths, and the parser converts a file's whole body in one
+pass; it walks the file line by line only to name the line of an error.
 
 Behavior CSV: header ``trace_id,category,total_chunks,swipe_chunk``.
 """
@@ -12,9 +15,10 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import islice, repeat
+from operator import contains as _contains, le as _le, lt as _lt
 from typing import Iterable
 
 THROUGHPUT_HEADER = "timestamp_s,bandwidth_kbps"
@@ -43,29 +47,82 @@ class TraceSampleError(TraceFormatError):
         return "sample {}: {}".format(*self.args)
 
 
-@dataclass(frozen=True)
+def _check_columns(starts, bws):
+    """The one check of the trace rules. Each rule is one pass in C over a
+    column; only when a pass fails are the samples walked in order, to name
+    the first bad one (its timestamp checked before its bandwidth).
+
+    ``operator.lt``/``le``, not bound dunders: ``(0).__le__(1.5)`` returns
+    ``NotImplemented``, which is truthy."""
+    if not starts:
+        raise TraceFormatError("trace must contain at least one sample")
+    if starts[0] != 0:
+        raise TraceSampleError(0, "trace must start at timestamp 0")
+    inf = math.inf
+    if (starts[-1] < inf
+            and all(map(_lt, starts, starts[1:]))
+            and all(map(_le, repeat(0), bws))
+            and all(map(_lt, bws, repeat(inf)))):
+        return
+    prev = -inf
+    for i, (t, bw) in enumerate(zip(starts, bws)):
+        if not prev < t < inf:
+            raise TraceSampleError(i, "timestamps must be finite and strictly increasing")
+        if not 0 <= bw < inf:
+            raise TraceSampleError(i, "bandwidth must be finite and non-negative")
+        prev = t
+
+
 class ThroughputTrace:
-    """Piecewise-constant bandwidth series; immutable once built."""
+    """Piecewise-constant bandwidth series; immutable once built.
 
-    samples: tuple[tuple[float, float], ...]
+    Held as two columns, the segment starts and their bandwidths, each a
+    tuple of the caller's own number objects: no tuple per sample is kept.
+    ``samples`` zips them back into ``(t, bw)`` pairs on each access.
+    """
 
-    def __post_init__(self):
-        # tuple() hands a tuple back as it is
-        samples = tuple(self.samples)
-        object.__setattr__(self, "samples", samples)
-        if not samples:
-            raise TraceFormatError("trace must contain at least one sample")
-        if samples[0][0] != 0:
-            raise TraceSampleError(0, "trace must start at timestamp 0")
-        inf = math.inf
-        prev = -inf
-        for i, (t, bw) in enumerate(samples):
-            if not prev < t < inf:
-                raise TraceSampleError(i, "timestamps must be finite and strictly increasing")
-            if not 0 <= bw < inf:
-                raise TraceSampleError(i, "bandwidth must be finite and non-negative")
-            prev = t
-        object.__setattr__(self, "_starts", tuple([t for t, _ in samples]))
+    __slots__ = ("_starts", "_bws")
+
+    def __init__(self, samples):
+        samples = tuple(samples)
+        self._set(tuple([t for t, _ in samples]), tuple([bw for _, bw in samples]))
+
+    @classmethod
+    def _from_columns(cls, starts: tuple, bws: tuple) -> "ThroughputTrace":
+        """A trace of the given start and bandwidth columns, checked by the
+        same rules as the public constructor."""
+        self = object.__new__(cls)
+        self._set(starts, bws)
+        return self
+
+    def _set(self, starts, bws):
+        _check_columns(starts, bws)
+        object.__setattr__(self, "_starts", starts)
+        object.__setattr__(self, "_bws", bws)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self)._from_columns, (self._starts, self._bws)
+
+    @property
+    def samples(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self._starts, self._bws))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._starts == other._starts and self._bws == other._bws
+
+    def __hash__(self):
+        return hash((self._starts, self._bws))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(samples={self.samples!r})"
 
     def segment_index(self, t) -> int:
         return bisect_right(self._starts, t) - 1
@@ -73,33 +130,63 @@ class ThroughputTrace:
     def bandwidth_at(self, t) -> float:
         if t < 0:
             raise ValueError("time must be non-negative")
-        return self.samples[self.segment_index(t)][1]
+        return self._bws[self.segment_index(t)]
 
 
-def parse_throughput_trace(text: str) -> ThroughputTrace:
-    """Parse a throughput CSV (see module docstring for the format); a
-    sample that :class:`ThroughputTrace` rejects is reported at its line."""
-    samples = []
-    linenos = array("l")  # not int objects, which would scatter the samples in memory
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _sample_lines(lines):
+    """``(lineno, stripped line)`` of each line that holds a sample: the
+    per-line reading of the format, walked only to name the line of a
+    rejected file."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if lineno == 1 and line.replace(" ", "") == THROUGHPUT_HEADER:
             continue
+        yield lineno, line
+
+
+def _raise_line_error(lines):
+    for lineno, line in _sample_lines(lines):
         parts = line.split(",")
         if len(parts) != 2:
-            raise TraceFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+            raise TraceFormatError(
+                f"line {lineno}: expected 2 fields, got {len(parts)}") from None
         try:
-            samples.append((float(parts[0]), float(parts[1])))
+            float(parts[0]), float(parts[1])
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-numeric field") from None
-        linenos.append(lineno)
+
+
+def parse_throughput_trace(text: str) -> ThroughputTrace:
+    """Parse a throughput CSV (see module docstring for the format); a
+    sample that :class:`ThroughputTrace` rejects is reported at its line.
+
+    The whole body is converted in one pass: its sample lines, each holding
+    exactly one comma, are joined with commas, split and mapped through
+    ``float``. Only a rejected file is walked line by line, for its message.
+    """
+    lines = text.splitlines()
+    body = lines
+    if lines and lines[0].strip().replace(" ", "") == THROUGHPUT_HEADER:
+        body = lines[1:]
+    body = list(filter(str.strip, body))
+    fields = ",".join(body).split(",") if body else []
     try:
-        return ThroughputTrace(tuple(samples))
+        # every line holds a comma and there are two fields a line, so every
+        # line holds exactly one
+        if len(fields) != 2 * len(body) or not all(map(_contains, body, repeat(","))):
+            raise ValueError
+        nums = list(map(float, fields))
+    except ValueError:
+        _raise_line_error(lines)
+        raise  # unreachable: the walk rejects the same lines
+    try:
+        return ThroughputTrace._from_columns(tuple(nums[0::2]), tuple(nums[1::2]))
     except TraceSampleError as exc:
         index, rule = exc.args
-        raise TraceFormatError(f"line {linenos[index]}: {rule}") from None
+        lineno, _ = next(islice(_sample_lines(lines), index, None))
+        raise TraceFormatError(f"line {lineno}: {rule}") from None
 
 
 def _num(x) -> str:
@@ -176,12 +263,12 @@ def generate_scenario(kind: str, seed: int, duration_s) -> ThroughputTrace:
         raise ValueError("duration must be positive")
     rng = random.Random(f"{kind}:{seed}")
     n = math.ceil(duration_s)
-    samples = []
+    bws = []
     if kind == "mixed":
         level = rng.uniform(MIXED_FLOOR, MIXED_CEIL)
         target = rng.uniform(MIXED_FLOOR, MIXED_CEIL)
-        for t in range(n):
-            samples.append((float(t), level))
+        for _ in range(n):
+            bws.append(level)
             if abs(target - level) < MIXED_STEP_SIGMA:
                 target = rng.uniform(MIXED_FLOOR, MIXED_CEIL)
             drift = MIXED_DRIFT if target > level else -MIXED_DRIFT
@@ -189,9 +276,8 @@ def generate_scenario(kind: str, seed: int, duration_s) -> ThroughputTrace:
             level = min(MIXED_CEIL, max(MIXED_FLOOR, level + step))
     else:
         lo, hi = SCENARIO_BANDS[kind]
-        for t in range(n):
-            samples.append((float(t), rng.uniform(lo, hi)))
-    return ThroughputTrace(tuple(samples))
+        bws = [rng.uniform(lo, hi) for _ in range(n)]
+    return ThroughputTrace._from_columns(tuple(map(float, range(n))), tuple(bws))
 
 
 def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
@@ -201,9 +287,10 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
     Arithmetic follows the numeric types passed in: with floats the result
     is correct to rounding, with ``fractions.Fraction`` inputs it is exact.
 
-    The segment holding ``start_s`` is found by bisection over the segment
-    starts. From there each segment that ends at a next sample either
-    finishes the download at ``pos + remaining / bw`` or drains
+    The segment holding ``start_s`` is found by bisection over the trace's
+    start column. From there each segment that ends at a next sample, with
+    its bandwidth ``bw`` read from the bandwidth column, either finishes the
+    download at ``pos + remaining / bw`` or drains
     ``cap = bw * (seg_end - pos)`` kilobits; a zero-bandwidth segment is
     skipped. The last sample's bandwidth carries whatever is left.
     """
@@ -214,13 +301,13 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
     if size_kbit == 0:
         return start_s
     starts = trace._starts
-    samples = trace.samples
+    bws = trace._bws
     last = len(starts) - 1
     i = bisect_right(starts, start_s) - 1
     pos = start_s
     remaining = size_kbit
     while i < last:
-        bw = samples[i][1]
+        bw = bws[i]
         i += 1
         seg_end = starts[i]
         if bw > 0:
@@ -229,7 +316,7 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
                 return pos + remaining / bw
             remaining -= cap
         pos = seg_end
-    bw = samples[last][1]
+    bw = bws[last]
     if bw > 0:
         return pos + remaining / bw
     return math.inf

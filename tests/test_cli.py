@@ -197,6 +197,44 @@ class TestCompare:
         sessions = (out / "sessions.csv").read_text().strip().splitlines()
         assert len(sessions) == 1 + 2 * 2
 
+    def test_traces_dir_follows_scenario(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for name, kind, seed in (("high_00", "high", 1), ("low_00", "low", 2),
+                                 ("trace_highway", "high", 3)):
+            (traces / f"{name}.csv").write_text(serialize_throughput_trace(
+                generate_scenario(kind, seed, 60.0)))
+
+        def compare(scenario, out):
+            return run_cli("compare", "--strategy", "fixb", "--scenario", scenario,
+                           "--seed", "5", "--n-scripts", "1",
+                           "--traces", str(traces), "--out", str(out))
+
+        # only the traces labelled with an asked-for kind are simulated, and
+        # the manifest lists the same kinds
+        for scenario, kinds, rows in (
+                ("low", ["low"], [("low", "low_00")]),
+                ("custom", ["custom"], [("custom", "trace_highway")]),
+                ("custom,high", ["high", "custom"],
+                 [("high", "high_00"), ("custom", "trace_highway")])):
+            out = tmp_path / scenario
+            assert compare(scenario, out) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert [(r["scenario"], r["trace_id"])
+                    for r in report["sessions"]] == rows
+            assert report["manifest"]["scenarios"] == kinds
+            assert [r["scenario"] for r in report["aggregates"]] == kinds
+        capsys.readouterr()
+        # no trace of an asked-for kind: exit 1 naming the directory and kinds
+        assert compare("medium,mixed", tmp_path / "none") == 1
+        assert (f"traces {traces}: no trace labelled with scenario "
+                f"'medium' or 'mixed'") in capsys.readouterr().err
+        assert not (tmp_path / "none").exists()
+        # without --traces there is no custom trace to generate
+        assert run_cli("compare", "--strategy", "fixb", "--scenario", "custom",
+                       "--out", str(tmp_path / "gen")) == 1
+        assert "unknown scenario 'custom'" in capsys.readouterr().err
+
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"w4": 0.0}))

@@ -1,13 +1,22 @@
+import copy
+import gc
 import math
+import pickle
 import random
+from array import array
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipesim.trace_io import (
     SCENARIO_BANDS,
+    THROUGHPUT_HEADER,
     ThroughputTrace,
     TraceFormatError,
+    TraceSampleError,
     download_finish_time,
     generate_scenario,
     parse_behavior_traces,
@@ -296,6 +305,211 @@ class TestTraceInvariants:
         with pytest.raises(ValueError, match="sample 2: bandwidth"):
             ThroughputTrace(((0.0, 1.0), (1.0, 2.0), (2.0, -1.0)))
 
-    def test_tuple_is_kept(self):
-        samples = ((0.0, 100.0), (1.0, 50.0))
-        assert ThroughputTrace(samples).samples is samples
+    @pytest.mark.parametrize("num", [float, Fraction], ids=["float", "fraction"])
+    def test_columns_hold_the_callers_numbers(self, num):
+        samples = tuple((num(i) / 4, num(100 + i) / 3) for i in range(50))
+        trace = ThroughputTrace(samples)
+        for i, (t, bw) in enumerate(samples):
+            assert trace._starts[i] is t and trace._bws[i] is bw
+        # the two columns are all the trace holds, and no sample is a tuple
+        assert not hasattr(trace, "__dict__")
+        held = [r for r in gc.get_referents(trace) if r is not ThroughputTrace]
+        assert sorted(map(id, held)) == sorted(map(id, (trace._starts, trace._bws)))
+        assert not any(isinstance(x, tuple) for col in held for x in col)
+        # samples is built on each access
+        assert trace.samples == samples
+        assert trace.samples is not samples and trace.samples is not trace.samples
+
+    def test_immutable_value_that_copies_and_pickles(self):
+        trace = ThroughputTrace(((0.0, 100.0), (1.5, 0.0), (4.0, 250.5)))
+        for name in ("_starts", "_bws", "samples", "extra"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(trace, name, ())
+        with pytest.raises(FrozenInstanceError):
+            del trace._bws
+        same = ThroughputTrace([(0.0, 100.0), (1.5, 0.0), (4.0, 250.5)])
+        assert same == trace and hash(same) == hash(trace)
+        assert trace != ThroughputTrace(((0.0, 100.0), (1.5, 0.0), (4.0, 250.0)))
+        assert trace != trace.samples
+        assert repr(trace) == f"ThroughputTrace(samples={trace.samples!r})"
+        exact = ThroughputTrace(((Fraction(0), Fraction(7, 3)),))
+        for original in (trace, exact):
+            copies = [copy.copy(original), copy.deepcopy(original)]
+            copies += [pickle.loads(pickle.dumps(original, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for again in copies:
+                assert type(again) is ThroughputTrace
+                assert again == original and hash(again) == hash(original)
+                assert again.samples == original.samples
+                assert list(map(type, again._bws)) == list(map(type, original._bws))
+                with pytest.raises(FrozenInstanceError):
+                    again._starts = ()
+
+    def test_column_constructor_checks_the_same_rules(self):
+        assert ThroughputTrace._from_columns((0.0, 1.0), (5.0, 0.0)) == (
+            ThroughputTrace(((0.0, 5.0), (1.0, 0.0))))
+        with pytest.raises(TraceFormatError, match="at least one sample"):
+            ThroughputTrace._from_columns((), ())
+        for starts, bws, message in (
+                ((1.0,), (5.0,), "sample 0: trace must start"),
+                ((0.0, 2.0, 2.0), (5.0, 1.0, 1.0), "sample 2: timestamps"),
+                ((0.0, math.inf), (5.0, 1.0), "sample 1: timestamps"),
+                ((0.0, 1.0), (5.0, math.nan), "sample 1: bandwidth"),
+                # the first bad sample is named, its timestamp checked first
+                ((0.0, 1.0, 0.5), (5.0, -1.0, -1.0), "sample 1: bandwidth"),
+                ((0.0, 1.0, 0.5), (5.0, 1.0, -1.0), "sample 2: timestamps")):
+            with pytest.raises(TraceSampleError, match=message):
+                ThroughputTrace._from_columns(starts, bws)
+
+
+def _reference_trace(samples):
+    """The sample rules as one loop over ``(t, bw)`` pairs; returns them."""
+    samples = tuple(samples)
+    if not samples:
+        raise TraceFormatError("trace must contain at least one sample")
+    if samples[0][0] != 0:
+        raise TraceSampleError(0, "trace must start at timestamp 0")
+    inf = math.inf
+    prev = -inf
+    for i, (t, bw) in enumerate(samples):
+        if not prev < t < inf:
+            raise TraceSampleError(i, "timestamps must be finite and strictly increasing")
+        if not 0 <= bw < inf:
+            raise TraceSampleError(i, "bandwidth must be finite and non-negative")
+        prev = t
+    return samples
+
+
+def _reference_parse(text: str):
+    """The line-by-line parser that the bulk parser replaced, kept as it
+    was but for building ``_reference_trace`` (the samples) in place of a
+    trace."""
+    samples = []
+    linenos = array("l")  # not int objects, which would scatter the samples in memory
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.replace(" ", "") == THROUGHPUT_HEADER:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise TraceFormatError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            samples.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: non-numeric field") from None
+        linenos.append(lineno)
+    try:
+        return _reference_trace(tuple(samples))
+    except TraceSampleError as exc:
+        index, rule = exc.args
+        raise TraceFormatError(f"line {linenos[index]}: {rule}") from None
+
+
+def _outcome(parse, text):
+    """The samples ``parse`` reads from ``text`` (as reprs, so -0.0 and 0.0
+    differ), or the type and message of what it raised."""
+    try:
+        result = parse(text)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    samples = result.samples if isinstance(result, ThroughputTrace) else result
+    return repr(samples)
+
+
+_NUMBER = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.floats(-5, 60, allow_nan=False).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e1", "1_0", "-0", "+2.5",
+                     "0x1", "abc", "", " ", "1 0", "\u00a03\u00a0"]))
+_PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _sample_line(draw):
+    fields = draw(st.lists(_NUMBER, min_size=1, max_size=3))
+    pads = [draw(_PAD) for _ in range(2)]
+    return pads[0] + ",".join(fields) + pads[1]
+
+
+@st.composite
+def _valid_lines(draw):
+    """Sample lines of a trace that ``_reference_trace`` accepts."""
+    n = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.integers(1, 9), min_size=n - 1, max_size=n - 1))
+    t, lines = 0, []
+    for step in [0] + steps:
+        t += step
+        bw = draw(st.one_of(st.integers(0, 9000).map(str),
+                            st.floats(0, 9000).map(repr)))
+        lines.append(f"{draw(_PAD)}{t / 4!r},{draw(_PAD)}{bw}{draw(_PAD)}")
+    return lines
+
+
+@st.composite
+def _trace_text(draw):
+    lines = draw(st.one_of(
+        _valid_lines(),
+        st.lists(_sample_line(), max_size=8),
+        # a valid trace with one line replaced (a bad field, a field too
+        # many or few, an out-of-order timestamp) or repeated
+        st.tuples(_valid_lines(), _sample_line(), st.integers(0, 11)).map(
+            lambda v: v[0][:v[2]] + [v[1]] + v[0][v[2] + 1:]),
+        st.tuples(_valid_lines(), st.integers(0, 11)).map(
+            lambda v: v[0] + [v[0][min(v[1], len(v[0]) - 1)]]),
+        # ... or one bandwidth replaced, by a bad value or an edge case
+        st.tuples(_valid_lines(), st.integers(0, 11),
+                  st.sampled_from(["nan", "inf", "-1", "-0.0", "1e400", "0"])).map(
+            lambda v: [line if i != v[1] else line.rsplit(",", 1)[0] + "," + v[2]
+                       for i, line in enumerate(v[0])])))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t", " \t "])))
+    header = draw(st.sampled_from([None, THROUGHPUT_HEADER,
+                                   " timestamp_s, bandwidth_kbps ",
+                                   "timestamp_s;bandwidth_kbps"]))
+    if header is not None:
+        lines.insert(draw(st.sampled_from([0, 0, 0, 1])), header)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestParseMatchesReference:
+    """The bulk parser accepts and rejects what the line-by-line parser did,
+    with the same samples or the same message."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_trace_text())
+    def test_same_samples_or_same_message(self, text):
+        assert _outcome(parse_throughput_trace, text) == _outcome(_reference_parse, text)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-3, 1e3), st.floats(0, 1e9)),
+                    min_size=1, max_size=20))
+    def test_serialize_parse_round_trip(self, pairs):
+        samples, t = [], 0.0
+        for step, bw in pairs:
+            samples.append((t, bw))
+            t += step
+        trace = ThroughputTrace(samples)
+        again = parse_throughput_trace(serialize_throughput_trace(trace))
+        assert again == trace and again.samples == tuple(samples)
+
+    @pytest.mark.parametrize("lineno, line, message", [
+        (20_001, "200.0,1500.0,7", "line 20001: expected 2 fields, got 3"),
+        (29_999, "299.97,nan", "line 29999: bandwidth must be finite and non-negative"),
+        (15_000, "149.97,1500.0",
+         "line 15000: timestamps must be finite and strictly increasing"),
+    ], ids=["3-fields", "nan", "repeated-timestamp"])
+    def test_large_file_error_names_its_line(self, lineno, line, message):
+        lines = [THROUGHPUT_HEADER] + [f"{i / 100!r},{1000.0 + i % 7!r}"
+                                       for i in range(29_999)]
+        text = "\n".join(lines) + "\n"
+        assert len(parse_throughput_trace(text).samples) == 29_999
+        lines[lineno - 1] = line
+        broken = "\n".join(lines) + "\n"
+        with pytest.raises(TraceFormatError) as exc:
+            parse_throughput_trace(broken)
+        assert str(exc.value) == message
+        assert _outcome(_reference_parse, broken) == (TraceFormatError, message)

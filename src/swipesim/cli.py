@@ -24,7 +24,7 @@ from pathlib import Path
 from .core import BitrateLadder, SessionConfig, VideoSpec
 from .engine import TraceRef, SessionScript, run_batch, run_session, sample_script
 from .retention import build_model, model_from_dict, model_to_json
-from .strategy import STRATEGY_NAMES, make_strategy
+from .strategy import FIXB_CURRENT, FIXB_NEXT, STRATEGY_NAMES, make_strategy
 from .trace_io import (
     SCENARIO_KINDS,
     BehaviorTrace,
@@ -256,13 +256,14 @@ def _load_trace_dir(path) -> list[TraceRef]:
 
 
 def _build_traces(args, scenarios, n_traces: int, duration_s: float) -> list[TraceRef]:
-    """The ``--traces`` files labelled with one of ``scenarios``, or
-    ``n_traces`` generated traces of each scenario."""
+    """The ``--traces`` files labelled with one of ``scenarios``, at least
+    one per scenario, or ``n_traces`` generated traces of each scenario."""
     if args.traces:
         refs = [ref for ref in _load_trace_dir(args.traces)
                 if ref.scenario in scenarios]
-        if not refs:
-            kinds = " or ".join(map(repr, scenarios))
+        missing = [k for k in scenarios if all(r.scenario != k for r in refs)]
+        if missing:
+            kinds = " or ".join(map(repr, missing))
             raise _CliError(f"traces {args.traces}: no trace labelled with "
                             f"scenario {kinds}")
         return refs
@@ -339,8 +340,8 @@ def _resolve_models(args, behavior):
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
     strategy = make_strategy(args.strategy, args.fixb_current, args.fixb_next)
+    config = _load_config(args.config)
     behavior = _build_behavior(args)
     models = _resolve_models(args, behavior)
     scripts = _build_scripts(args, behavior, n_scripts=1)
@@ -377,12 +378,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config)
     strategy_names = _parse_names(args.strategy, STRATEGY_NAMES, "strategy")
     scenarios = _parse_names(args.scenario, SCENARIO_LABELS, "scenario")
     scenarios.sort(key=SCENARIO_LABELS.index)
     strategies = [make_strategy(n, args.fixb_current, args.fixb_next)
                   for n in strategy_names]
+    config = _load_config(args.config)
     behavior = _build_behavior(args)
     models = _resolve_models(args, behavior)
     scripts = _build_scripts(args, behavior, args.n_scripts)
@@ -453,8 +454,8 @@ def build_parser() -> _Parser:
     for name in ("--config", "--scripts", "--traces", "--behavior",
                  "--catalog", "--model"):
         session.add_argument(name)
-    session.add_argument("--fixb-current", type=int, default=4)
-    session.add_argument("--fixb-next", type=int, default=2)
+    session.add_argument("--fixb-current", type=int, default=FIXB_CURRENT)
+    session.add_argument("--fixb-next", type=int, default=FIXB_NEXT)
 
     p_run = sub.add_parser("run", parents=[session],
                            help="simulate a single session")

@@ -196,8 +196,8 @@ class _Simulation:
                 _model_for(model, spec.category), spec.chunk_count,
                 config.p_th_early, config.p_th_long)
             self.views.append(PlayerView(
-                spec=spec, video_index=i, downloaded=0, buffered=0,
-                is_current=False, thresholds=thresholds, swipe_cdf=cdf))
+                spec=spec, video_index=i, downloaded=0,
+                thresholds=thresholds, swipe_cdf=cdf))
             self._chunk_kbit.append(spec.chunk_kbit_by_rate)
         self.total_rebuffer = 0.0
         self.rebuffer_marker = 0.0
@@ -206,20 +206,17 @@ class _Simulation:
         self.timeline: Optional[list] = [] if record_timeline else None
         self._win_hi = 0
         self._ctx = StrategyContext(
-            players=[], c_pred=None, c_ave=None, c_min=0.0, r_last=None,
-            rebuffer_flag=False, config=config)
+            players=[], buffered=0, lead=0.0, c_pred=None, c_ave=None,
+            c_min=0.0, r_last=None, rebuffer_flag=False, config=config)
         self._rebuild_window()
 
     # -- window helpers --------------------------------------------------
 
     def _rebuild_window(self):
-        """Slide the window to the current video. The views keep their own
-        counts: a video enters the window with no downloads, and
-        _apply_download and _build_ctx keep every window view current."""
+        """Slide the window to the current video; the views keep their counts."""
         lo = self.current_index
         self._win_hi = min(lo + self.config.n_pred, self.n_videos)
         window = self.views[lo:self._win_hi]
-        window[0].is_current = True
         self._ctx.players = window
         # worst-case smooth-playback bound, taken at the conservative
         # lowest rung for both the current chunk and the startup chunks
@@ -239,16 +236,13 @@ class _Simulation:
         ctx = self._ctx
         view = ctx.players[0]
         n = view.downloaded
-        if self.playback_started:
-            view.buffered = n - (self.play_chunk - 1)
-            offset = 0.0
-            if self.play_chunk <= n:
-                t0 = view.spec.chunk_duration_s
-                offset = (self.wall_clock_s - self.chunk_begin_s) / t0
-            view.lead = view.buffered - offset
-        else:
-            view.buffered = n
-            view.lead = float(n)
+        # until playback starts the playhead waits at chunk 1
+        ctx.buffered = buffered = n - (self.play_chunk - 1)
+        offset = 0.0
+        if self.playback_started and self.play_chunk <= n:
+            t0 = view.spec.chunk_duration_s
+            offset = (self.wall_clock_s - self.chunk_begin_s) / t0
+        ctx.lead = buffered - offset
         ctx.rebuffer_flag = self.total_rebuffer > self.rebuffer_marker
         return ctx
 
@@ -347,11 +341,8 @@ class _Simulation:
         # a video that departed with this chunk in flight keeps its view
         # current too; no strategy reads it again
         view = self.views[vi]
-        view.downloaded = n = view.downloaded + 1
+        view.downloaded += 1
         view.last_bitrate = ref.bitrate_kbps
-        if not view.is_current:
-            view.buffered = n
-            view.lead = float(n)
         timeline = self.timeline
         if timeline is not None:
             timeline.append(("dl_done", self.wall_clock_s, vi, ref.chunk_index))
@@ -382,9 +373,12 @@ class _Simulation:
                 if math.isinf(finish):
                     raise StarvationError(ref.video_index, ref.chunk_index, now)
                 if timeline is not None:
-                    timeline.append(("dl_start", now, ref.video_index,
-                                     ref.chunk_index, ref.bitrate_kbps,
-                                     action.buffered, action.threshold))
+                    vi = ref.video_index
+                    buffered = (self._ctx.buffered if vi == self.current_index
+                                else views[vi].downloaded)
+                    timeline.append(("dl_start", now, vi, ref.chunk_index,
+                                     ref.bitrate_kbps, buffered,
+                                     action.threshold))
                 # non-preemptive: play out the flight, then land the chunk
                 advance(finish)
                 if self.done:
@@ -451,7 +445,9 @@ def run_session(script: SessionScript, trace: ThroughputTrace, strategy,
     event, in engine order (t seconds, v video index, k chunk index):
 
     * ``("dl_start", t, v, k, bitrate_kbps, buffered, threshold)``: a
-      download begins; the last two are the strategy's ``Download`` fields.
+      download begins; ``buffered`` is the context's for the video on
+      screen and the view's ``downloaded`` for any other, ``threshold``
+      the strategy's ``Download`` field.
     * ``("dl_done", t, v, k)``: that chunk lands.
     * ``("play", t, v, k)``: the playhead starts chunk k, once per chunk.
     * ``("swipe", t, v)``: the user leaves video v.

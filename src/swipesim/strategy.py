@@ -3,23 +3,24 @@
 Every strategy answers one question whenever the downloader is idle: which
 player's next contiguous chunk to fetch at which bitrate, or sleep. The
 context passed in is a read-only snapshot of the player window (players[0]
-is the one on screen) plus throughput estimates. Playback of the current
-video waits for min(b0, K) chunks, so every strategy fetches those before
-it sleeps, whatever its own target: sleeping below them never ends.
+is the one on screen), the playhead on it and throughput estimates.
+Playback of the current video waits for min(b0, K) chunks, so every
+strategy fetches those before it sleeps, whatever its own target: sleeping
+below them never ends.
 
 Buffer depth targets of the adaptive (dtaap) strategy, per video length K
 and behavior thresholds k_min / k_early / k_long (while the channel cannot
 sustain the lowest rung the current video is instead fed without a depth
 cap and preloading drops to startup insurance):
 
-  current video, compared against chunks buffered ahead of the playhead,
-  driven by the predicted throughput c:
+  current video, compared against chunks buffered ahead of the playhead
+  (StrategyContext.buffered), driven by the predicted throughput c:
       c >= c_min:            1 + ceil(k_long / K)
       r_last < c <= c_min:   2 + ceil(k_long / K) - ceil(k_early / K)
       c <= r_last:           3 + ceil(k_long / K) - ceil(k_early / K)
 
-  recommended videos, compared against total chunks downloaded, driven by
-  the windowed average throughput c:
+  recommended videos, compared against total chunks downloaded
+  (PlayerView.downloaded), driven by the windowed average throughput c:
       c >= c_min:            1 + k_min
       r_last < c <= c_min:   2 + k_min - floor(k_early / (2 + k_min))
       c <= r_last:           3 + k_min - floor(k_early / (3 + k_min))
@@ -52,6 +53,9 @@ NETWORK_REGIME_THRESHOLDS = {
 
 PDAS_RETENTION_CUTOFF = 0.5
 
+# fixb's default depth targets for the current and each recommended video
+FIXB_CURRENT, FIXB_NEXT = 4, 2
+
 # margin over the lowest rung before the channel counts as able to sustain
 # playback; guards the regime test against window-estimate noise. Must stay
 # below 2.0 so a channel at the smooth-playback bound never reads as starved.
@@ -71,20 +75,17 @@ IMMINENT_HAZARD = 0.5
 
 @dataclass(frozen=True, slots=True, init=False)
 class Download:
-    """Fetch one chunk; buffered/threshold record the test that issued it."""
+    """Fetch one chunk; threshold records the depth test that issued it."""
 
     chunk: ChunkRef
-    buffered: Optional[int] = None
     threshold: Optional[float] = None
 
-    def __init__(self, chunk: ChunkRef, buffered: Optional[int] = None,
-                 threshold: Optional[float] = None):
+    def __init__(self, chunk: ChunkRef, threshold: Optional[float] = None):
         _set_chunk(self, chunk)
-        _set_buffered(self, buffered)
         _set_threshold(self, threshold)
 
 
-_set_chunk, _set_buffered, _set_threshold = _slot_setters(Download)
+_set_chunk, _set_threshold = _slot_setters(Download)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,29 +102,24 @@ _sleep = lru_cache(maxsize=32, typed=True)(Sleep)
 
 @dataclass(slots=True)
 class PlayerView:
-    """Read-only snapshot of one player for strategy decisions.
+    """One player's download record, read by strategy decisions.
 
-    ``buffered`` counts whole chunks not yet played out (total downloads
-    for a recommended player) and drives the prefetch-depth thresholds.
-    ``lead`` is the same quantity minus the consumed fraction of the
-    on-screen chunk; the bitrate controller's occupancy tests use it.
-    ``chunk_count`` and ``ladder`` are copied from ``spec`` on construction.
-    ``retention_cap`` is :func:`pdas_retention_cap` of ``swipe_cdf``, also
-    set on construction. During a session the engine updates
-    ``downloaded``, ``buffered``, ``lead``, ``last_bitrate`` and
-    ``is_current`` in place; ``complete`` and ``next_needed`` stay
-    properties of ``downloaded``, so they follow any change to it.
+    ``downloaded`` counts the landed chunks, a prefix of the video, and
+    ``last_bitrate`` is the rung of the latest; during a session the engine
+    updates these two in place and nothing else. The playhead is not a
+    player's record: :class:`StrategyContext` holds it. ``chunk_count`` and
+    ``ladder`` are copied from ``spec`` on construction. ``retention_cap``
+    is :func:`pdas_retention_cap` of ``swipe_cdf``, also set on
+    construction. ``complete`` and ``next_needed`` stay properties of
+    ``downloaded``, so they follow any change to it.
     """
 
     spec: VideoSpec
     video_index: int
     downloaded: int
-    buffered: int
-    is_current: bool
     thresholds: RetentionThresholds
     swipe_cdf: tuple[float, ...]
     last_bitrate: Optional[int] = None
-    lead: float = 0.0
     chunk_count: int = field(init=False, repr=False, compare=False)
     ladder: BitrateLadder = field(init=False, repr=False, compare=False)
     retention_cap: int = field(init=False, repr=False, compare=False)
@@ -146,11 +142,16 @@ class PlayerView:
 class StrategyContext:
     """Snapshot handed to a strategy at each decision point.
 
+    ``buffered`` and ``lead`` place the playhead on ``players[0]``: its
+    chunks not yet played out, for the depth thresholds, and that less the
+    played fraction of the chunk on screen, for the bitrate controller.
     c_pred and c_ave are None until the first download completes; r_last is
     the bitrate of the last downloaded chunk.
     """
 
     players: list[PlayerView]
+    buffered: int
+    lead: float
     c_pred: Optional[float]
     c_ave: Optional[float]
     c_min: float
@@ -162,7 +163,7 @@ class StrategyContext:
 def _download(player: PlayerView, bitrate: int,
               threshold: Optional[float] = None) -> Download:
     return Download(ChunkRef(player.video_index, player.next_needed, bitrate),
-                    player.buffered, threshold)
+                    threshold)
 
 
 def _warmup_action(ctx: StrategyContext) -> Action:
@@ -231,7 +232,7 @@ def _swipe_imminent(ctx: StrategyContext) -> bool:
     engaged; once the viewer is in a committed stretch they are released.
     """
     cur = ctx.players[0]
-    k = min(max(cur.downloaded - cur.buffered + 1, 1), cur.chunk_count)
+    k = min(max(cur.downloaded - ctx.buffered + 1, 1), cur.chunk_count)
     cdf = cur.swipe_cdf
     before = cdf[k - 2] if k >= 2 else 0.0
     remaining = 1.0 - before
@@ -246,7 +247,7 @@ def dtaap_bitrate(ctx: StrategyContext, player_index: int = 0) -> int:
     p = ctx.players[player_index]
     ladder = p.ladder
     cfg = ctx.config
-    if p.is_current:
+    if player_index == 0:
         # the video's own trajectory anchors hold and step decisions;
         # fall back to the globally last downloaded chunk before chunk one
         anchor = p.last_bitrate
@@ -258,12 +259,12 @@ def dtaap_bitrate(ctx: StrategyContext, player_index: int = 0) -> int:
                 pick = ladder.step_down(anchor)
             return pick
         b_th = buffer_threshold_current(ctx)
-        if ctx.c_pred < anchor and p.lead < cfg.gamma1 * b_th:
+        if ctx.c_pred < anchor and ctx.lead < cfg.gamma1 * b_th:
             return ladder.step_down(anchor)
         # step up when the buffer will sit comfortably once this chunk
         # lands, the prediction covers the higher rung, and the windowed
         # average covers it with headroom
-        if ctx.c_pred > anchor and p.lead + 1.0 > cfg.gamma2 * b_th:
+        if ctx.c_pred > anchor and ctx.lead + 1.0 > cfg.gamma2 * b_th:
             target = ladder.step_up(anchor)
             reserve = _startup_reserve(ctx) if _swipe_imminent(ctx) else 0.0
             if (target <= ctx.c_pred - reserve
@@ -297,7 +298,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
         b0 = ctx.config.b0_startup_chunks
         cushion = min(STARVED_PLAYHEAD_CUSHION, cur.chunk_count)
         if not cur.complete:
-            if cur.buffered < cushion:
+            if ctx.buffered < cushion:
                 return _download(cur, dtaap_bitrate(ctx, 0), threshold=cushion)
             if cur.downloaded < b0:
                 return _download(cur, dtaap_bitrate(ctx, 0), threshold=b0)
@@ -314,7 +315,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
     cur = ctx.players[0]
     if not cur.complete:
         b_th = buffer_threshold_current(ctx)
-        if cur.buffered < b_th:
+        if ctx.buffered < b_th:
             return _download(cur, dtaap_bitrate(ctx, 0), threshold=b_th)
         b0 = ctx.config.b0_startup_chunks
         if cur.downloaded < b0:
@@ -324,7 +325,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
         if p.complete:
             continue
         b_th = buffer_threshold_next(ctx, j)
-        if p.buffered < b_th:
+        if p.downloaded < b_th:
             return _download(p, dtaap_bitrate(ctx, j), threshold=b_th)
     return _sleep(ctx.config.t_sleep_s)
 
@@ -333,20 +334,18 @@ def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
     """Shared scan order of the fixed-threshold baselines."""
     cur = ctx.players[0]
     if not cur.complete:
-        if cur.buffered < b_current:
+        if ctx.buffered < b_current:
             return _download(cur, cur.ladder.match(ctx.c_ave), threshold=b_current)
         b0 = ctx.config.b0_startup_chunks
         if cur.downloaded < b0:
             return _download(cur, cur.ladder.match(ctx.c_ave), threshold=b0)
     for p in ctx.players[1:]:
-        if not p.complete and p.buffered < b_next:
+        if not p.complete and p.downloaded < b_next:
             return _download(p, p.ladder.match(ctx.c_ave), threshold=b_next)
     return _sleep(ctx.config.t_sleep_s)
 
 
-def fixb_decide(ctx: StrategyContext, b_current: int = 4, b_next: int = 2) -> Action:
-    if b_current < 1 or b_next < 1:
-        raise ValueError("fixed buffer thresholds must be >= 1")
+def fixb_decide(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
     if ctx.c_ave is None:
         return _warmup_action(ctx)
     return _scan_fixed(ctx, b_current, b_next)
@@ -400,12 +399,12 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
     """
     if ctx.c_ave is None:
         return _warmup_action(ctx)
-    for p in ctx.players:
+    for j, p in enumerate(ctx.players):
         if p.complete:
             continue
         cap = p.retention_cap
-        if p.is_current:
-            play_need = p.downloaded - p.buffered + 1
+        if j == 0:
+            play_need = p.downloaded - ctx.buffered + 1
             cap = max(cap, play_need, ctx.config.b0_startup_chunks)
         if p.downloaded < cap:
             weighted = ctx.c_ave * _reach_probability(p, p.next_needed)
@@ -429,11 +428,14 @@ _DECIDERS = {
 STRATEGY_NAMES = tuple(_DECIDERS)
 
 
-def make_strategy(name: str, fixb_current: int = 4, fixb_next: int = 2) -> Strategy:
+def make_strategy(name: str, fixb_current: int = FIXB_CURRENT,
+                  fixb_next: int = FIXB_NEXT) -> Strategy:
     """Build a strategy by its public name: a ``(name, decide)`` pair."""
     if name not in _DECIDERS:
         raise ValueError(f"unknown strategy {name!r}; valid names: {', '.join(STRATEGY_NAMES)}")
     if name == "fixb":
+        if fixb_current < 1 or fixb_next < 1:
+            raise ValueError("fixed buffer thresholds must be >= 1")
         return Strategy(name, partial(fixb_decide, b_current=fixb_current,
                                       b_next=fixb_next))
     return Strategy(name, _DECIDERS[name])

@@ -52,28 +52,28 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
             played.add((cur, play_chunk))
             events.append(("play", t, cur, play_chunk))
 
+    def playhead():
+        """Unplayed chunks of the current video, and the same less the
+        played fraction of the chunk on screen."""
+        ndl = len(downloaded[cur])
+        if not started:
+            return ndl, float(ndl)
+        buff = ndl - (play_chunk - 1)
+        offset = 0.0
+        if play_chunk <= ndl:
+            offset = (t - chunk_begin) / videos[cur].chunk_duration_s
+        return buff, buff - offset
+
     def build_ctx():
         views = []
         hi = min(cur + config.n_pred, n)
         for i in range(cur, hi):
             ndl = len(downloaded[i])
-            is_cur = i == cur
-            if is_cur and started:
-                buff = ndl - (play_chunk - 1)
-                offset = 0.0
-                if play_chunk <= ndl:
-                    offset = (t - chunk_begin) / videos[i].chunk_duration_s
-                lead = buff - offset
-            else:
-                buff = ndl
-                lead = float(ndl)
             th, cdf = profiles[i]
             views.append(PlayerView(spec=videos[i], video_index=i,
-                                    downloaded=ndl, buffered=buff,
-                                    is_current=is_cur, thresholds=th,
+                                    downloaded=ndl, thresholds=th,
                                     swipe_cdf=cdf,
-                                    last_bitrate=downloaded[i][-1] if ndl else None,
-                                    lead=lead))
+                                    last_bitrate=downloaded[i][-1] if ndl else None))
         lad0 = views[0].spec.ladder
         lad1 = views[1].spec.ladder if len(views) > 1 else lad0
         c_min = lad0.lowest + config.b0_startup_chunks * lad1.lowest
@@ -83,7 +83,9 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
             c_pred = config.alpha1 * c_ave + config.alpha2 * samples[-1]
         else:
             c_ave = c_pred = None
-        return StrategyContext(players=views, c_pred=c_pred, c_ave=c_ave,
+        buff, lead = playhead()
+        return StrategyContext(players=views, buffered=buff, lead=lead,
+                               c_pred=c_pred, c_ave=c_ave,
                                c_min=c_min, r_last=r_last,
                                rebuffer_flag=total_rebuf > marker,
                                config=config)
@@ -97,9 +99,12 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
                 ref = action.chunk
                 size = videos[ref.video_index].chunk_size_kbit(ref.bitrate_kbps)
                 finish = t + size / bandwidth_kbps
+                # the depth the download was issued at: unplayed chunks on
+                # screen, every downloaded chunk of a recommended video
+                buff = (playhead()[0] if ref.video_index == cur
+                        else len(downloaded[ref.video_index]))
                 events.append(("dl_start", t, ref.video_index, ref.chunk_index,
-                               ref.bitrate_kbps, action.buffered,
-                               action.threshold))
+                               ref.bitrate_kbps, buff, action.threshold))
                 in_flight = (ref, size, t, finish)
                 target = finish
             else:

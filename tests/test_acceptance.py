@@ -219,14 +219,14 @@ def test_criterion_3_closed_form_examples():
 
     # current-video depth target, one row per branch
     ctx = make_ctx(c_pred=2600.0, c_min=2600.0)
-    ctx.players[0] = make_view(0, is_current=True, k_long=8, chunk_count=10)
+    ctx.players[0] = make_view(0, k_long=8, chunk_count=10)
     assert buffer_threshold_current(ctx) == 2
     ctx = make_ctx(c_pred=2000.0, c_min=2600.0, r_last=750)
-    ctx.players[0] = make_view(0, is_current=True, k_long=8, k_early=2,
+    ctx.players[0] = make_view(0, k_long=8, k_early=2,
                                chunk_count=10)
     assert buffer_threshold_current(ctx) == 2
     ctx = make_ctx(c_pred=700.0, c_min=2600.0, r_last=750)
-    ctx.players[0] = make_view(0, is_current=True, k_long=8, k_early=2,
+    ctx.players[0] = make_view(0, k_long=8, k_early=2,
                                chunk_count=10)
     assert buffer_threshold_current(ctx) == 3
     # recommended-video depth target, one row per branch
@@ -240,86 +240,79 @@ def test_criterion_3_closed_form_examples():
     ctx.players[1] = make_view(1, k_min=2, k_early=8)
     assert buffer_threshold_next(ctx) == 4
 
-    ctx = make_ctx()
-    ctx.players[0] = make_view(0, is_current=True, downloaded=3, buffered=1)
+    ctx = make_ctx(downloaded=3, buffered=1)
     action = dtaap_decide(ctx)
     assert isinstance(action, Download)
     assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
-    ctx = make_ctx(c_ave=2000.0, c_min=1500.0)
-    ctx.players[0] = make_view(0, is_current=True, downloaded=5, buffered=5)
+    ctx = make_ctx(c_ave=2000.0, c_min=1500.0, downloaded=5, buffered=5)
     action = dtaap_decide(ctx)
     assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
-    players = [make_view(0, is_current=True, downloaded=10, buffered=10)]
+    players = [make_view(0, downloaded=10)]
     players += [make_view(j, downloaded=5, k_min=2) for j in range(1, 5)]
     cfg = SessionConfig()
-    assert dtaap_decide(make_ctx(players=players, config=cfg)) == Sleep(cfg.t_sleep_s)
+    assert dtaap_decide(make_ctx(players=players, buffered=10,
+                                 config=cfg)) == Sleep(cfg.t_sleep_s)
 
-    ctx = make_ctx(c_pred=1000.0, r_last=1850, rebuffer_flag=True)
-    ctx.players[0] = make_view(0, is_current=True, downloaded=1, buffered=0)
+    ctx = make_ctx(c_pred=1000.0, r_last=1850, rebuffer_flag=True,
+                   downloaded=1, buffered=0)
     assert dtaap_bitrate(ctx, 0) == 750
-    players = [make_view(0, is_current=True, downloaded=4, buffered=3)]
+    players = [make_view(0, downloaded=4)]
     players += [make_view(j, downloaded=1) for j in range(1, 5)]
-    ctx = make_ctx(players=players, c_pred=1850.0, c_ave=2600.0,
+    ctx = make_ctx(players=players, buffered=3, c_pred=1850.0, c_ave=2600.0,
                    c_min=1500.0, r_last=1200)
     assert dtaap_bitrate(ctx, 0) == 1850
-    players = [make_view(0, is_current=True, downloaded=3, buffered=2)]
+    players = [make_view(0, downloaded=3)]
     players += [make_view(j, downloaded=1) for j in range(1, 5)]
-    ctx = make_ctx(players=players, c_ave=1300.0)
+    ctx = make_ctx(players=players, buffered=2, c_ave=1300.0)
     assert dtaap_bitrate(ctx, 1) == 1200
 
-    ctx = make_ctx()
-    ctx.players[0] = make_view(0, is_current=True, downloaded=2, buffered=2)
+    ctx = make_ctx(downloaded=2, buffered=2)
     assert fixb_decide(ctx, 4, 2).chunk.video_index == 0
-    players = [make_view(0, is_current=True, downloaded=4, buffered=4)]
+    players = [make_view(0, downloaded=4)]
     players += [make_view(j, downloaded=2) for j in range(1, 5)]
-    assert isinstance(fixb_decide(make_ctx(players=players), 4, 2), Sleep)
+    assert isinstance(fixb_decide(make_ctx(players=players, buffered=4), 4, 2),
+                      Sleep)
     ctx = make_ctx(c_ave=600.0)
-    ctx.players[0] = make_view(0, is_current=True)
+    ctx.players[0] = make_view(0)
     assert fixb_decide(ctx, 4, 2).chunk.bitrate_kbps == 750
 
-    ctx = make_ctx()
-    ctx.players[0] = make_view(0, is_current=True, downloaded=9, buffered=9,
-                               chunk_count=10)
+    ctx = make_ctx(downloaded=9, buffered=9, chunk_count=10)
     assert nextone_decide(ctx).chunk.chunk_index == 10
-    players = [make_view(0, is_current=True, downloaded=10, chunk_count=10)]
+    players = [make_view(0, downloaded=10, chunk_count=10)]
     players += [make_view(j, downloaded=0, chunk_count=8) for j in range(1, 5)]
     action = nextone_decide(make_ctx(players=players))
     assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
-    players = [make_view(0, is_current=True, downloaded=10, chunk_count=10)]
+    players = [make_view(0, downloaded=10, chunk_count=10)]
     players += [make_view(j, downloaded=8, chunk_count=8) for j in range(1, 5)]
     assert isinstance(nextone_decide(make_ctx(players=players)), Sleep)
 
-    players = [make_view(0, is_current=True, downloaded=2, buffered=2),
+    players = [make_view(0, downloaded=2),
                make_view(1, downloaded=0), make_view(2, downloaded=1),
                make_view(3, downloaded=1), make_view(4, downloaded=1)]
-    ctx = make_ctx(players=players, c_pred=3000.0, c_min=2600.0)
+    ctx = make_ctx(players=players, buffered=2, c_pred=3000.0, c_min=2600.0)
     assert networkbased_decide(ctx).chunk.video_index == 1
-    ctx = make_ctx(c_pred=700.0, c_min=2600.0)
-    ctx.players[0] = make_view(0, is_current=True, downloaded=2, buffered=2)
+    ctx = make_ctx(c_pred=700.0, c_min=2600.0, downloaded=2, buffered=2)
     assert networkbased_decide(ctx).chunk.video_index == 0
-    players = [make_view(0, is_current=True, downloaded=4, buffered=4)]
+    players = [make_view(0, downloaded=4)]
     players += [make_view(j, downloaded=2) for j in range(1, 5)]
-    ctx = make_ctx(players=players, c_pred=1500.0, c_min=2600.0)
+    ctx = make_ctx(players=players, buffered=4, c_pred=1500.0, c_min=2600.0)
     assert isinstance(networkbased_decide(ctx), Sleep)
 
     retention = [0.9, 0.8, 0.7, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05, 0.0]
     cdf = tuple(1.0 - r for r in retention)
-    players = [make_view(0, is_current=True, downloaded=3, buffered=3,
-                         swipe_cdf=cdf)]
+    players = [make_view(0, downloaded=3, swipe_cdf=cdf)]
     players += [make_view(j, downloaded=9, swipe_cdf=cdf) for j in range(1, 5)]
-    action = pdas_lite_decide(make_ctx(players=players))
+    action = pdas_lite_decide(make_ctx(players=players, buffered=3))
     assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
     no_early = (0.0,) * 9 + (1.0,)
-    players = [make_view(0, is_current=True, downloaded=0, buffered=0,
-                         swipe_cdf=no_early)]
+    players = [make_view(0, downloaded=0, swipe_cdf=no_early)]
     players += [make_view(j, downloaded=9) for j in range(1, 5)]
-    action = pdas_lite_decide(make_ctx(players=players, c_ave=1300.0))
+    action = pdas_lite_decide(make_ctx(players=players, buffered=0, c_ave=1300.0))
     assert action.chunk.bitrate_kbps == 1200
-    players = [make_view(0, is_current=True, downloaded=1, buffered=1,
-                         chunk_count=1, swipe_cdf=(1.0,))]
+    players = [make_view(0, downloaded=1, chunk_count=1, swipe_cdf=(1.0,))]
     players += [make_view(j, downloaded=0, chunk_count=1, swipe_cdf=(1.0,))
                 for j in range(1, 5)]
-    action = pdas_lite_decide(make_ctx(players=players))
+    action = pdas_lite_decide(make_ctx(players=players, buffered=1))
     assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
 
     trace = parse_throughput_trace("0,2000\n1,1500")

@@ -230,6 +230,12 @@ class TestCompare:
         assert (f"traces {traces}: no trace labelled with scenario "
                 f"'medium' or 'mixed'") in capsys.readouterr().err
         assert not (tmp_path / "none").exists()
+        # some asked-for kinds have traces and others none: exit 1 naming
+        # only the missing kinds
+        assert compare("high,medium", tmp_path / "some") == 1
+        assert (f"traces {traces}: no trace labelled with scenario "
+                f"'medium'\n") in capsys.readouterr().err
+        assert not (tmp_path / "some").exists()
         # without --traces there is no custom trace to generate
         assert run_cli("compare", "--strategy", "fixb", "--scenario", "custom",
                        "--out", str(tmp_path / "gen")) == 1

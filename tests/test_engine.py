@@ -143,28 +143,30 @@ class TestTimelineInvariants:
 
 class TestOracleEquivalence:
     def test_exhaustive_small_matrix(self):
+        # every strategy at startup depths b0 = 1, 2 and 3
         checked = 0
-        for n_videos, chunk_count, ladder in itertools.product(
-                (1, 2, 3), (1, 2, 4), (LADDER1, LADDER2)):
+        for b0, name, (n_videos, chunk_count, ladder) in itertools.product(
+                (1, 2, 3), STRATEGY_NAMES, itertools.product(
+                    (1, 2, 3), (1, 2, 4), (LADDER1, LADDER2))):
+            config = SessionConfig(b0_startup_chunks=b0)
             videos = videos_of(n_videos, chunk_count, ladder)
             for bw in (600.0, 2000.0):
-                for name in ("dtaap", "fixb", "nextone"):
-                    for swipes in itertools.product(
-                            range(1, chunk_count + 1), repeat=n_videos):
-                        script = SessionScript("s", videos, swipes)
-                        res = run_session(script, const_trace(bw),
-                                          make_strategy(name), CFG, MODEL,
-                                          record_timeline=True)
-                        events, rebuffer, downloaded, end_t = brute_force_session(
-                            script, bw, make_strategy(name), CFG, MODEL)
-                        assert canonical(res.timeline) == canonical(events)
-                        assert end_t == res.wall_time_s
-                        for i, v in enumerate(res.videos):
-                            assert list(v.bitrates) == downloaded[i]
-                            for k in range(1, v.watched_chunks + 1):
-                                assert v.rebuffer_s[k - 1] == rebuffer.get((i, k), 0.0)
-                        checked += 1
-        assert checked > 500
+                for swipes in itertools.product(
+                        range(1, chunk_count + 1), repeat=n_videos):
+                    script = SessionScript("s", videos, swipes)
+                    res = run_session(script, const_trace(bw),
+                                      make_strategy(name), config, MODEL,
+                                      record_timeline=True)
+                    events, rebuffer, downloaded, end_t = brute_force_session(
+                        script, bw, make_strategy(name), config, MODEL)
+                    assert canonical(res.timeline) == canonical(events), (b0, name)
+                    assert end_t == res.wall_time_s
+                    for i, v in enumerate(res.videos):
+                        assert list(v.bitrates) == downloaded[i]
+                        for k in range(1, v.watched_chunks + 1):
+                            assert v.rebuffer_s[k - 1] == rebuffer.get((i, k), 0.0)
+                    checked += 1
+        assert checked == 3 * len(STRATEGY_NAMES) * 404
 
 
 def _fill_then(action):

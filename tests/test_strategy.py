@@ -27,18 +27,18 @@ from swipesim.trace_io import BehaviorTrace
 class TestBufferThresholdCurrent:
     def test_ample_branch(self):
         ctx = make_ctx(c_pred=2600.0, c_min=2600.0)
-        ctx.players[0] = make_view(0, is_current=True, k_long=8, chunk_count=10)
+        ctx.players[0] = make_view(0, k_long=8, chunk_count=10)
         assert buffer_threshold_current(ctx) == 2
 
     def test_middle_branch(self):
         ctx = make_ctx(c_pred=2000.0, c_min=2600.0, r_last=750)
-        ctx.players[0] = make_view(0, is_current=True, k_long=8, k_early=2,
+        ctx.players[0] = make_view(0, k_long=8, k_early=2,
                                    chunk_count=10)
         assert buffer_threshold_current(ctx) == 2
 
     def test_low_branch(self):
         ctx = make_ctx(c_pred=700.0, c_min=2600.0, r_last=750)
-        ctx.players[0] = make_view(0, is_current=True, k_long=8, k_early=2,
+        ctx.players[0] = make_view(0, k_long=8, k_early=2,
                                    chunk_count=10)
         assert buffer_threshold_current(ctx) == 3
 
@@ -61,7 +61,7 @@ class TestBufferThresholdCurrent:
         b2 = make_ctx(c_pred=1200.0, c_min=1500.0, r_last=750)
         b3 = make_ctx(c_pred=700.0, c_min=1500.0, r_last=750)
         for ctx in (b1, b2, b3):
-            ctx.players[0] = make_view(0, is_current=True, **base)
+            ctx.players[0] = make_view(0, **base)
         t1 = buffer_threshold_current(b1)
         t2 = buffer_threshold_current(b2)
         t3 = buffer_threshold_current(b3)
@@ -87,16 +87,14 @@ class TestBufferThresholdNext:
 
 class TestDtaapDecide:
     def test_fills_current_first(self):
-        ctx = make_ctx()
-        ctx.players[0] = make_view(0, is_current=True, downloaded=3, buffered=1)
+        ctx = make_ctx(downloaded=3, buffered=1)
         action = dtaap_decide(ctx)
         assert isinstance(action, Download)
         assert action.chunk.video_index == 0
         assert action.chunk.chunk_index == 4
 
     def test_moves_to_recommended_when_current_at_threshold(self):
-        ctx = make_ctx(c_ave=2000.0, c_min=1500.0)
-        ctx.players[0] = make_view(0, is_current=True, downloaded=5, buffered=5)
+        ctx = make_ctx(c_ave=2000.0, c_min=1500.0, downloaded=5, buffered=5)
         action = dtaap_decide(ctx)
         assert isinstance(action, Download)
         assert action.chunk.video_index == 1
@@ -104,10 +102,11 @@ class TestDtaapDecide:
 
     def test_sleeps_when_everyone_at_threshold(self):
         cfg = SessionConfig()
-        players = [make_view(0, is_current=True, downloaded=10, buffered=10)]
+        players = [make_view(0, downloaded=10)]
         for j in range(1, 5):
-            players.append(make_view(j, downloaded=5, buffered=5, k_min=2))
-        ctx = make_ctx(players=players, c_ave=2000.0, c_min=1500.0, config=cfg)
+            players.append(make_view(j, downloaded=5, k_min=2))
+        ctx = make_ctx(players=players, buffered=10, c_ave=2000.0, c_min=1500.0,
+                       config=cfg)
         action = dtaap_decide(ctx)
         assert action == Sleep(cfg.t_sleep_s)
 
@@ -122,47 +121,46 @@ class TestDtaapDecide:
 
 class TestDtaapBitrate:
     def test_rebuffer_drops_to_prediction(self):
-        ctx = make_ctx(c_pred=1000.0, r_last=1850, rebuffer_flag=True)
-        ctx.players[0] = make_view(0, is_current=True, downloaded=1, buffered=0)
+        ctx = make_ctx(c_pred=1000.0, r_last=1850, rebuffer_flag=True,
+                       downloaded=1, buffered=0)
         assert dtaap_bitrate(ctx, 0) == 750
 
     def test_rebuffer_forces_below_last(self):
-        ctx = make_ctx(c_pred=5000.0, r_last=1200, rebuffer_flag=True)
-        ctx.players[0] = make_view(0, is_current=True, downloaded=1, buffered=0)
+        ctx = make_ctx(c_pred=5000.0, r_last=1200, rebuffer_flag=True,
+                       downloaded=1, buffered=0)
         assert dtaap_bitrate(ctx, 0) == 750
 
     def test_step_up_with_comfortable_buffer(self):
         # buffer of 3 clears 0.8 * threshold and the higher rung fits c_pred
-        players = [make_view(0, is_current=True, downloaded=4, buffered=3)]
+        players = [make_view(0, downloaded=4)]
         players += [make_view(j, downloaded=1) for j in range(1, 5)]
-        ctx = make_ctx(players=players, c_pred=1850.0, c_ave=2600.0,
+        ctx = make_ctx(players=players, buffered=3, c_pred=1850.0, c_ave=2600.0,
                        c_min=1500.0, r_last=1200)
         assert dtaap_bitrate(ctx, 0) == 1850
 
     def test_step_up_skipped_when_level_exceeds_prediction(self):
-        players = [make_view(0, is_current=True, downloaded=3, buffered=2,
-                             lead=1.9)]
+        players = [make_view(0, downloaded=3)]
         players += [make_view(j, downloaded=1) for j in range(1, 5)]
-        ctx = make_ctx(players=players, c_pred=1000.0, c_min=1500.0, r_last=750)
+        ctx = make_ctx(players=players, buffered=2, lead=1.9, c_pred=1000.0,
+                       c_min=1500.0, r_last=750)
         assert dtaap_bitrate(ctx, 0) == 750
 
     def test_step_down_when_starved(self):
-        ctx = make_ctx(c_pred=800.0, c_min=1500.0, r_last=1200)
-        ctx.players[0] = make_view(0, is_current=True, downloaded=1, buffered=0)
+        ctx = make_ctx(c_pred=800.0, c_min=1500.0, r_last=1200,
+                       downloaded=1, buffered=0)
         assert dtaap_bitrate(ctx, 0) == 750
 
     def test_holds_otherwise(self):
         # lead too thin to step up, prediction too good to step down
-        ctx = make_ctx(c_pred=1850.0, c_min=1500.0, r_last=1200)
-        ctx.players[0] = make_view(0, is_current=True, downloaded=1, buffered=1,
-                                   lead=0.5)
+        ctx = make_ctx(c_pred=1850.0, c_min=1500.0, r_last=1200,
+                       downloaded=1, buffered=1, lead=0.5)
         assert dtaap_bitrate(ctx, 0) == 1200
 
     def test_recommended_matches_average(self):
         # startup chunks of every window player already present
-        players = [make_view(0, is_current=True, downloaded=3, buffered=2)]
+        players = [make_view(0, downloaded=3)]
         players += [make_view(j, downloaded=1) for j in range(1, 5)]
-        ctx = make_ctx(players=players, c_ave=1300.0)
+        ctx = make_ctx(players=players, buffered=2, c_ave=1300.0)
         assert dtaap_bitrate(ctx, 1) == 1200
 
     @staticmethod
@@ -173,11 +171,11 @@ class TestDtaapBitrate:
 
     def test_recommended_startup_matches_remainder(self):
         def ctx_with_current_rate(rate, c_ave):
-            players = [make_view(0, is_current=True, downloaded=3, buffered=2,
+            players = [make_view(0, downloaded=3,
                                  swipe_cdf=self.early_swiper_cdf())]
             players[0].last_bitrate = rate
             players += [make_view(j, downloaded=0) for j in range(1, 5)]
-            return make_ctx(players=players, c_ave=c_ave)
+            return make_ctx(players=players, buffered=2, c_ave=c_ave)
 
         # plenty of headroom after the current video's demand
         assert dtaap_bitrate(ctx_with_current_rate(750, 6000.0), 1) == 1850
@@ -187,66 +185,62 @@ class TestDtaapBitrate:
 
     def test_startup_ignores_current_demand_for_committed_viewer(self):
         # no early swipe mass: the viewer will stay, match the average
-        players = [make_view(0, is_current=True, downloaded=3, buffered=2)]
+        players = [make_view(0, downloaded=3)]
         players[0].last_bitrate = 1850
         players += [make_view(j, downloaded=0) for j in range(1, 5)]
-        ctx = make_ctx(players=players, c_ave=2000.0)
+        ctx = make_ctx(players=players, buffered=2, c_ave=2000.0)
         assert dtaap_bitrate(ctx, 1) == 1850
 
     def test_recommended_reserves_pending_startups(self):
         # player 1 past startup, player 2 still empty: hold back its share
-        players = [make_view(0, is_current=True, downloaded=3, buffered=2,
+        players = [make_view(0, downloaded=3,
                              swipe_cdf=self.early_swiper_cdf()),
                    make_view(1, downloaded=1), make_view(2, downloaded=0),
                    make_view(3, downloaded=1), make_view(4, downloaded=1)]
-        ctx = make_ctx(players=players, c_ave=1600.0)
+        ctx = make_ctx(players=players, buffered=2, c_ave=1600.0)
         assert dtaap_bitrate(ctx, 1) == 750
-        ctx2 = make_ctx(players=list(players), c_ave=3000.0)
+        ctx2 = make_ctx(players=list(players), buffered=2, c_ave=3000.0)
         assert dtaap_bitrate(ctx2, 1) == 1850
 
 
 class TestFixB:
     def test_downloads_current_below_threshold(self):
-        ctx = make_ctx()
-        ctx.players[0] = make_view(0, is_current=True, downloaded=2, buffered=2)
+        ctx = make_ctx(downloaded=2, buffered=2)
         action = fixb_decide(ctx, 4, 2)
         assert isinstance(action, Download)
         assert action.chunk.video_index == 0
 
     def test_sleeps_at_thresholds(self):
-        players = [make_view(0, is_current=True, downloaded=4, buffered=4)]
+        players = [make_view(0, downloaded=4)]
         players += [make_view(j, downloaded=2) for j in range(1, 5)]
-        ctx = make_ctx(players=players)
+        ctx = make_ctx(players=players, buffered=4)
         assert isinstance(fixb_decide(ctx, 4, 2), Sleep)
 
     def test_low_average_picks_lowest_rung(self):
-        ctx = make_ctx(c_ave=600.0)
-        ctx.players[0] = make_view(0, is_current=True, downloaded=0, buffered=0)
+        ctx = make_ctx(c_ave=600.0, downloaded=0, buffered=0)
         action = fixb_decide(ctx, 4, 2)
         assert action.chunk.bitrate_kbps == 750
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
-            fixb_decide(make_ctx(), 0, 2)
+            make_strategy("fixb", 0, 2)
 
 
 class TestNextOne:
     def test_finishes_current_first(self):
-        ctx = make_ctx()
-        ctx.players[0] = make_view(0, is_current=True, downloaded=9,
-                                   buffered=9, chunk_count=10)
+        ctx = make_ctx(downloaded=9, buffered=9, chunk_count=10)
         action = nextone_decide(ctx)
         assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 10)
 
     def test_fills_recommended_in_order(self):
-        players = [make_view(0, is_current=True, downloaded=10, chunk_count=10)]
+        players = [make_view(0, downloaded=10, chunk_count=10)]
         players += [make_view(j, downloaded=0, chunk_count=8) for j in range(1, 5)]
         ctx = make_ctx(players=players)
         action = nextone_decide(ctx)
         assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
 
     def test_sleeps_when_everything_downloaded(self):
-        players = [make_view(0, is_current=True, downloaded=10, chunk_count=10)]
+        players = [make_view(0, downloaded=10, chunk_count=10)]
         players += [make_view(j, downloaded=8, chunk_count=8) for j in range(1, 5)]
         ctx = make_ctx(players=players)
         assert isinstance(nextone_decide(ctx), Sleep)
@@ -254,23 +248,22 @@ class TestNextOne:
 
 class TestNetworkBased:
     def test_ample_moves_to_recommended(self):
-        players = [make_view(0, is_current=True, downloaded=2, buffered=2),
+        players = [make_view(0, downloaded=2),
                    make_view(1, downloaded=0), make_view(2, downloaded=1),
                    make_view(3, downloaded=1), make_view(4, downloaded=1)]
-        ctx = make_ctx(players=players, c_pred=3000.0, c_min=2600.0)
+        ctx = make_ctx(players=players, buffered=2, c_pred=3000.0, c_min=2600.0)
         action = networkbased_decide(ctx)
         assert action.chunk.video_index == 1
 
     def test_starved_keeps_filling_current(self):
-        ctx = make_ctx(c_pred=700.0, c_min=2600.0)
-        ctx.players[0] = make_view(0, is_current=True, downloaded=2, buffered=2)
+        ctx = make_ctx(c_pred=700.0, c_min=2600.0, downloaded=2, buffered=2)
         action = networkbased_decide(ctx)
         assert action.chunk.video_index == 0
 
     def test_constrained_sleeps_at_thresholds(self):
-        players = [make_view(0, is_current=True, downloaded=4, buffered=4)]
+        players = [make_view(0, downloaded=4)]
         players += [make_view(j, downloaded=2) for j in range(1, 5)]
-        ctx = make_ctx(players=players, c_pred=1500.0, c_min=2600.0)
+        ctx = make_ctx(players=players, buffered=4, c_pred=1500.0, c_min=2600.0)
         assert isinstance(networkbased_decide(ctx), Sleep)
 
 
@@ -283,48 +276,43 @@ class TestPdasLite:
     def test_caps_at_majority_retention(self):
         retention = [0.9, 0.8, 0.7, 0.6, 0.4, 0.3, 0.2, 0.1, 0.05, 0.0]
         cdf = self.cdf_for(10, retention)
-        players = [make_view(0, is_current=True, downloaded=3, buffered=3,
-                             swipe_cdf=cdf)]
+        players = [make_view(0, downloaded=3, swipe_cdf=cdf)]
         players += [make_view(j, downloaded=9, swipe_cdf=cdf) for j in range(1, 5)]
-        ctx = make_ctx(players=players)
+        ctx = make_ctx(players=players, buffered=3)
         action = pdas_lite_decide(ctx)
         assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
         # at the cap the current player is skipped
         players[0].downloaded = 4
-        players[0].buffered = 4
-        assert isinstance(pdas_lite_decide(make_ctx(players=players)), Sleep)
+        assert isinstance(pdas_lite_decide(make_ctx(players=players, buffered=4)),
+                          Sleep)
 
     def test_cap_slides_with_playhead(self):
         retention = [0.4] + [0.0] * 9  # cap would be 1
         cdf = self.cdf_for(10, retention)
         # playhead needs chunk 4: downloaded 3, buffered 0
-        players = [make_view(0, is_current=True, downloaded=3, buffered=0,
-                             swipe_cdf=cdf)]
+        players = [make_view(0, downloaded=3, swipe_cdf=cdf)]
         players += [make_view(j, downloaded=9) for j in range(1, 5)]
-        ctx = make_ctx(players=players)
+        ctx = make_ctx(players=players, buffered=0)
         action = pdas_lite_decide(ctx)
         assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
 
     def test_bitrate_weighted_by_reach(self):
         cdf = (0.0,) * 9 + (1.0,)  # nobody swipes before the end
-        players = [make_view(0, is_current=True, downloaded=0, buffered=0,
-                             swipe_cdf=cdf)]
+        players = [make_view(0, downloaded=0, swipe_cdf=cdf)]
         players += [make_view(j, downloaded=9) for j in range(1, 5)]
-        ctx = make_ctx(players=players, c_ave=1300.0)
+        ctx = make_ctx(players=players, buffered=0, c_ave=1300.0)
         action = pdas_lite_decide(ctx)
         assert action.chunk.bitrate_kbps == 1200
 
     def test_single_chunk_videos_cap_at_one(self):
-        players = [make_view(0, is_current=True, downloaded=0, buffered=0,
-                             chunk_count=1, swipe_cdf=(1.0,))]
+        players = [make_view(0, downloaded=0, chunk_count=1, swipe_cdf=(1.0,))]
         players += [make_view(j, downloaded=0, chunk_count=1, swipe_cdf=(1.0,))
                     for j in range(1, 5)]
-        ctx = make_ctx(players=players)
+        ctx = make_ctx(players=players, buffered=0)
         action = pdas_lite_decide(ctx)
         assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 1)
         players[0].downloaded = 1
-        players[0].buffered = 1
-        action = pdas_lite_decide(make_ctx(players=players))
+        action = pdas_lite_decide(make_ctx(players=players, buffered=1))
         assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
 
 
@@ -393,7 +381,7 @@ class TestActions:
 
     def test_frozen(self):
         actions = [(self.REF, "video_index"),
-                   (Download(self.REF, 1, 2.0), "threshold"),
+                   (Download(self.REF, 2.0), "threshold"),
                    (Sleep(0.5), "duration_s")]
         for action, name in actions:
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -402,35 +390,34 @@ class TestActions:
 
     def test_equal_and_hashable(self):
         assert ChunkRef(2, 3, 1200) == self.REF
-        a = Download(ChunkRef(2, 3, 1200), buffered=1, threshold=2.0)
-        b = Download(self.REF, 1, 2.0)
+        a = Download(ChunkRef(2, 3, 1200), threshold=2.0)
+        b = Download(self.REF, 2.0)
         assert a == b and hash(a) == hash(b)
-        assert a != Download(self.REF, 1, 3.0)
+        assert a != Download(self.REF, 3.0)
         assert Sleep(0.5) == Sleep(0.5) and hash(Sleep(0.5)) == hash(Sleep(0.5))
         assert len({a, b, Sleep(0.5), Sleep(0.5), self.REF}) == 3
-        assert Download(self.REF) == Download(chunk=self.REF, buffered=None,
-                                              threshold=None)
+        assert Download(self.REF) == Download(chunk=self.REF, threshold=None)
 
     def test_replace(self):
-        d = Download(self.REF, 1, 2.0)
-        assert dataclasses.replace(d, threshold=4) == Download(self.REF, 1, 4)
+        d = Download(self.REF, 2.0)
+        assert dataclasses.replace(d, threshold=4) == Download(self.REF, 4)
         assert dataclasses.replace(self.REF, chunk_index=4) == ChunkRef(2, 4, 1200)
         assert dataclasses.replace(Sleep(0.5), duration_s=1.0) == Sleep(1.0)
 
     def test_repr(self):
-        assert repr(Download(self.REF, 1, 2.0)) == (
+        assert repr(Download(self.REF, 2.0)) == (
             "Download(chunk=ChunkRef(video_index=2, chunk_index=3, "
-            "bitrate_kbps=1200), buffered=1, threshold=2.0)")
+            "bitrate_kbps=1200), threshold=2.0)")
         assert repr(Sleep(0.5)) == "Sleep(duration_s=0.5)"
 
     def test_never_equal_to_plain_tuples(self):
-        assert Download(self.REF, 1, 2.0) != (self.REF, 1, 2.0)
-        assert Download(self.REF, 1, 2.0) != ((2, 3, 1200), 1, 2.0)
+        assert Download(self.REF, 2.0) != (self.REF, 2.0)
+        assert Download(self.REF, 2.0) != ((2, 3, 1200), 2.0)
         assert self.REF != (2, 3, 1200)
         assert Sleep(0.5) != (0.5,)
 
     def test_idle_decisions_equal_a_fresh_sleep(self):
-        players = [make_view(0, is_current=True, downloaded=10)]
+        players = [make_view(0, downloaded=10)]
         players += [make_view(j, downloaded=10) for j in range(1, 5)]
         for name in STRATEGIES:
             action = make_strategy(name).decide(make_ctx(players=players))
@@ -447,8 +434,6 @@ def _random_ctx(rng):
         if j == 0:
             played = rng.randint(0, downloaded) if downloaded else 0
             buffered = downloaded - max(0, played - 1)
-        else:
-            buffered = downloaded
         cdf = []
         acc = 0.0
         for i in range(k):
@@ -456,12 +441,12 @@ def _random_ctx(rng):
             cdf.append(acc)
         cdf[-1] = 1.0
         players.append(make_view(
-            j, chunk_count=k, downloaded=downloaded, buffered=buffered,
-            is_current=(j == 0), k_min=rng.randint(1, k),
+            j, chunk_count=k, downloaded=downloaded, k_min=rng.randint(1, k),
             k_early=rng.randint(1, k), k_long=rng.randint(1, k),
             swipe_cdf=tuple(cdf)))
     return make_ctx(
         players=players,
+        buffered=buffered,
         c_pred=rng.uniform(200, 6500),
         c_ave=rng.uniform(200, 6500),
         c_min=1500.0,
@@ -519,9 +504,9 @@ def test_sleep_only_when_thresholds_met(name):
             b_c, b_n = NETWORK_REGIME_THRESHOLDS[regime]
             cur_th, nxt_th = b_c, [b_n] * (len(ctx.players) - 1)
         cur = ctx.players[0]
-        assert cur.complete or cur.buffered >= cur_th
+        assert cur.complete or ctx.buffered >= cur_th
         for p, th in zip(ctx.players[1:], nxt_th):
-            assert p.complete or p.buffered >= th
+            assert p.complete or p.downloaded >= th
 
 
 def test_dtaap_step_moves_at_most_one_level():

@@ -11,20 +11,8 @@ chunks are indexed 1-based within a video.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-
-
-def _slot_setters(cls) -> list:
-    """The ``__set__`` of each field slot of a frozen slotted dataclass.
-
-    The actions built for every simulated download set their fields through
-    these in a hand-written ``__init__``: a slot's own setter stores the
-    value directly, where the generated frozen ``__init__`` goes through
-    ``object.__setattr__`` for every field. The frozen ``__setattr__``
-    still rejects assignment after construction.
-    """
-    return [getattr(cls, f.name).__set__ for f in fields(cls)]
 
 
 @dataclass(frozen=True)
@@ -100,32 +88,26 @@ class VideoSpec:
         if self.chunk_duration_s <= 0:
             raise ValueError(f"video {self.id}: chunk_duration_s must be > 0")
 
-    def chunk_size_kbit(self, bitrate_kbps):
-        return chunk_kbit(bitrate_kbps, self.chunk_duration_s)
-
     @cached_property
     def chunk_kbit_by_rate(self) -> dict:
         """``{bitrate: chunk kilobits}`` over the ladder, built on first use;
         shared by every session of the video, so read it, never change it."""
-        return {r: self.chunk_size_kbit(r) for r in self.ladder.levels}
+        t0 = self.chunk_duration_s
+        return {r: chunk_kbit(r, t0) for r in self.ladder.levels}
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ChunkRef:
     """A single downloadable chunk: video position, chunk number, bitrate.
 
     :meth:`create` validates the reference against the video it points
-    into; the engine checks strategy requests against the live players.
+    into. The simulator builds none: a strategy's ``Download`` names a
+    player and a rung, and the engine fetches that player's next chunk.
     """
 
     video_index: int
     chunk_index: int
     bitrate_kbps: int
-
-    def __init__(self, video_index: int, chunk_index: int, bitrate_kbps: int):
-        _set_video_index(self, video_index)
-        _set_chunk_index(self, chunk_index)
-        _set_bitrate_kbps(self, bitrate_kbps)
 
     @classmethod
     def create(cls, video_index: int, chunk_index: int, bitrate_kbps: int,
@@ -141,9 +123,6 @@ class ChunkRef:
                 f"bitrate {bitrate_kbps} not in ladder {spec.ladder.levels} "
                 f"of video {spec.id}")
         return cls(video_index, chunk_index, bitrate_kbps)
-
-
-_set_video_index, _set_chunk_index, _set_bitrate_kbps = _slot_setters(ChunkRef)
 
 
 class PlayerBuffer:

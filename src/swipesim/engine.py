@@ -16,9 +16,11 @@ Event semantics of one session:
   the chunk in flight; its bits count toward cost (and waste when the
   video has departed). A chunk still in flight when the session closes is
   dropped entirely.
-* The strategy is consulted whenever the downloader is idle. Sleeping
-  wakes at the sleep interval or the next chunk-playback boundary,
-  whichever comes first.
+* The strategy is consulted whenever the downloader is idle. A download
+  fetches the named player's next chunk. Sleeping wakes after
+  ``t_sleep_s`` or at the next chunk-playback boundary, whichever comes
+  first; sleeping while the video on screen waits for a chunk is an
+  error, since that chunk would never come.
 * The session ends when the last scripted video's swipe chunk finishes
   playing.
 """
@@ -246,26 +248,28 @@ class _Simulation:
         ctx.rebuffer_flag = self.total_rebuffer > self.rebuffer_marker
         return ctx
 
-    def _validate_download(self, ref):
+    def _validate_download(self, vi, rate):
         """The one check of a strategy's download request against the live
-        players; returns the chunk's size in kilobits."""
-        vi = ref.video_index
+        players; returns the size in kilobits of video ``vi``'s next chunk
+        at ``rate``."""
         if not self.current_index <= vi < self._win_hi:
             raise SimulationError(
                 f"strategy targeted video {vi} outside the window")
         view = self.views[vi]
-        n = view.downloaded
-        if n >= view.chunk_count:
+        if view.downloaded >= view.chunk_count:
             raise SimulationError(f"strategy targeted completed video {vi}")
-        if ref.chunk_index != n + 1:
-            raise SimulationError(
-                f"strategy requested chunk {ref.chunk_index} of video "
-                f"{vi}, next needed is {n + 1}")
         try:
-            return self._chunk_kbit[vi][ref.bitrate_kbps]
+            return self._chunk_kbit[vi][rate]
         except (KeyError, TypeError):
             raise SimulationError(
-                f"strategy picked off-ladder bitrate {ref.bitrate_kbps}") from None
+                f"strategy picked off-ladder bitrate {rate}") from None
+
+    def _idle_error(self, k) -> SimulationError:
+        """A sleep while the video on screen waits for its chunk ``k``: no
+        download would ever come, so the session would never end."""
+        return SimulationError(
+            f"strategy idled while video {self.current_index} waits for "
+            f"chunk {k}")
 
     # -- playback ----------------------------------------------------------
 
@@ -327,27 +331,26 @@ class _Simulation:
         self.play_chunk = 1
         self._rebuild_window()
 
-    def _apply_download(self, ref, size_kbit, elapsed_s):
-        vi = ref.video_index
+    def _apply_download(self, vi, rate, size_kbit, elapsed_s):
         # checked when the strategy issued it, by _validate_download
-        self.bitrates[vi].append(ref.bitrate_kbps)
+        self.bitrates[vi].append(rate)
         history = self.history
         history.record_download(size_kbit, elapsed_s)
         # the estimates change only when a download lands, so set them here
         ctx = self._ctx
         ctx.c_ave = history.window_mean()
         ctx.c_pred = history.predict(self.config.alpha1, self.config.alpha2)
-        ctx.r_last = ref.bitrate_kbps
+        ctx.r_last = rate
         # a video that departed with this chunk in flight keeps its view
         # current too; no strategy reads it again
         view = self.views[vi]
-        view.downloaded += 1
-        view.last_bitrate = ref.bitrate_kbps
+        view.downloaded = k = view.downloaded + 1
+        view.last_bitrate = rate
         timeline = self.timeline
         if timeline is not None:
-            timeline.append(("dl_done", self.wall_clock_s, vi, ref.chunk_index))
+            timeline.append(("dl_done", self.wall_clock_s, vi, k))
         if (self.playback_started and vi == self.current_index
-                and ref.chunk_index == self.play_chunk):
+                and k == self.play_chunk):
             self.chunk_begin_s = self.wall_clock_s
             if timeline is not None:
                 self._emit_play()
@@ -362,39 +365,44 @@ class _Simulation:
         build_ctx = self._build_ctx
         advance = self._advance
         finish_time = download_finish_time
+        t_sleep = self.config.t_sleep_s
         while not self.done:
             action = decide(build_ctx())
             self.rebuffer_marker = self.total_rebuffer
             now = self.wall_clock_s
             if isinstance(action, Download):
-                ref = action.chunk
-                size = self._validate_download(ref)
+                vi = action.video_index
+                rate = action.bitrate_kbps
+                size = self._validate_download(vi, rate)
                 finish = finish_time(trace, now, size)
                 if math.isinf(finish):
-                    raise StarvationError(ref.video_index, ref.chunk_index, now)
+                    raise StarvationError(vi, views[vi].downloaded + 1, now)
                 if timeline is not None:
-                    vi = ref.video_index
+                    n = views[vi].downloaded
                     buffered = (self._ctx.buffered if vi == self.current_index
-                                else views[vi].downloaded)
-                    timeline.append(("dl_start", now, vi, ref.chunk_index,
-                                     ref.bitrate_kbps, buffered,
-                                     action.threshold))
+                                else n)
+                    timeline.append(("dl_start", now, vi, n + 1, rate,
+                                     buffered, action.threshold))
                 # non-preemptive: play out the flight, then land the chunk
                 advance(finish)
                 if self.done:
                     break
-                self._apply_download(ref, size, finish - now)
+                self._apply_download(vi, rate, size, finish - now)
                 continue
-            if not isinstance(action, Sleep) or action.duration_s <= 0:
+            if not isinstance(action, Sleep):
                 raise SimulationError(f"invalid strategy action {action!r}")
             # wake at the sleep interval or the next chunk-playback boundary
-            wake = now + action.duration_s
+            wake = now + t_sleep
+            view = views[self.current_index]
+            n = view.downloaded
             if self.playback_started:
-                view = views[self.current_index]
-                if self.play_chunk <= view.downloaded:
-                    nxt = self.chunk_begin_s + view.spec.chunk_duration_s
-                    if nxt < wake:
-                        wake = nxt
+                if self.play_chunk > n:
+                    raise self._idle_error(self.play_chunk)
+                nxt = self.chunk_begin_s + view.spec.chunk_duration_s
+                if nxt < wake:
+                    wake = nxt
+            elif n < min(self.config.b0_startup_chunks, view.chunk_count):
+                raise self._idle_error(n + 1)
             if timeline is not None:
                 timeline.append(("sleep", now, wake))
             advance(wake)

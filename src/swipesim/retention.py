@@ -162,6 +162,3 @@ def model_to_json(model: RetentionModel) -> str:
                        "trace_count": model.trace_count,
                        "mass": list(model.mass)}, sort_keys=True, indent=2)
 
-
-def model_from_json(text: str) -> RetentionModel:
-    return model_from_dict(json.loads(text))

@@ -1,12 +1,15 @@
 """Preload decision strategies.
 
 Every strategy answers one question whenever the downloader is idle: which
-player's next contiguous chunk to fetch at which bitrate, or sleep. The
-context passed in is a read-only snapshot of the player window (players[0]
-is the one on screen), the playhead on it and throughput estimates.
-Playback of the current video waits for min(b0, K) chunks, so every
-strategy fetches those before it sleeps, whatever its own target: sleeping
-below them never ends.
+player's next contiguous chunk to fetch at which bitrate, or sleep. A
+:class:`Download` names the window player and the rung, and the engine
+fetches that player's next chunk; a :class:`Sleep` idles for the session's
+``t_sleep_s``. The context passed in is a read-only snapshot of the player
+window (players[0] is the one on screen), the playhead on it and
+throughput estimates. Playback of the current video waits for min(b0, K)
+chunks, so every strategy fetches those before it sleeps, whatever its own
+target: the engine rejects a sleep while the video on screen waits for a
+chunk.
 
 Buffer depth targets of the adaptive (dtaap) strategy, per video length K
 and behavior thresholds k_min / k_early / k_long (while the channel cannot
@@ -37,11 +40,11 @@ the channel covers the smooth-playback bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
-from .core import BitrateLadder, ChunkRef, SessionConfig, VideoSpec, _slot_setters
+from .core import BitrateLadder, SessionConfig, VideoSpec
 from .retention import RetentionThresholds
 from .throughput import Regime, classify_regime
 
@@ -75,29 +78,34 @@ IMMINENT_HAZARD = 0.5
 
 @dataclass(frozen=True, slots=True, init=False)
 class Download:
-    """Fetch one chunk; threshold records the depth test that issued it."""
+    """Fetch the next chunk of the window player ``video_index`` at
+    ``bitrate_kbps``; threshold records the depth test that issued it."""
 
-    chunk: ChunkRef
+    video_index: int
+    bitrate_kbps: int
     threshold: Optional[float] = None
 
-    def __init__(self, chunk: ChunkRef, threshold: Optional[float] = None):
-        _set_chunk(self, chunk)
+    def __init__(self, video_index: int, bitrate_kbps: int,
+                 threshold: Optional[float] = None):
+        _set_video_index(self, video_index)
+        _set_bitrate_kbps(self, bitrate_kbps)
         _set_threshold(self, threshold)
 
 
-_set_chunk, _set_threshold = _slot_setters(Download)
+# one Download per simulated download: a field slot's own ``__set__`` stores
+# the value directly, where the generated frozen ``__init__`` goes through
+# ``object.__setattr__`` for every field. The frozen ``__setattr__`` still
+# rejects assignment after construction.
+_set_video_index, _set_bitrate_kbps, _set_threshold = (
+    getattr(Download, f.name).__set__ for f in fields(Download))
 
 
 @dataclass(frozen=True, slots=True)
 class Sleep:
-    duration_s: float
+    """Idle for the session's sleep interval."""
 
 
 Action = Union[Download, Sleep]
-
-# a Sleep is immutable, so the idle decisions of every strategy share one
-# per duration
-_sleep = lru_cache(maxsize=32, typed=True)(Sleep)
 
 
 @dataclass(slots=True)
@@ -160,19 +168,13 @@ class StrategyContext:
     config: SessionConfig
 
 
-def _download(player: PlayerView, bitrate: int,
-              threshold: Optional[float] = None) -> Download:
-    return Download(ChunkRef(player.video_index, player.next_needed, bitrate),
-                    threshold)
-
-
 def _warmup_action(ctx: StrategyContext) -> Action:
     """Before any download has completed there is no throughput estimate
     (``c_ave`` is None); fetch the first missing chunk at the lowest rung."""
     for p in ctx.players:
         if not p.complete:
-            return _download(p, p.ladder.lowest, threshold=1)
-    return _sleep(ctx.config.t_sleep_s)
+            return Download(p.video_index, p.ladder.lowest, threshold=1)
+    return Sleep()
 
 
 def buffer_threshold_current(ctx: StrategyContext) -> int:
@@ -299,35 +301,41 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
         cushion = min(STARVED_PLAYHEAD_CUSHION, cur.chunk_count)
         if not cur.complete:
             if ctx.buffered < cushion:
-                return _download(cur, dtaap_bitrate(ctx, 0), threshold=cushion)
+                return Download(cur.video_index, dtaap_bitrate(ctx, 0),
+                                threshold=cushion)
             if cur.downloaded < b0:
-                return _download(cur, dtaap_bitrate(ctx, 0), threshold=b0)
+                return Download(cur.video_index, dtaap_bitrate(ctx, 0),
+                                threshold=b0)
         for j in range(1, len(ctx.players)):
             p = ctx.players[j]
             need = min(b0, p.chunk_count)
             if p.downloaded < need:
-                return _download(p, dtaap_bitrate(ctx, j), threshold=need)
+                return Download(p.video_index, dtaap_bitrate(ctx, j),
+                                threshold=need)
         for j, p in enumerate(ctx.players):
             if not p.complete:
-                return _download(p, dtaap_bitrate(ctx, j),
+                return Download(p.video_index, dtaap_bitrate(ctx, j),
                                  threshold=p.chunk_count)
-        return _sleep(ctx.config.t_sleep_s)
+        return Sleep()
     cur = ctx.players[0]
     if not cur.complete:
         b_th = buffer_threshold_current(ctx)
         if ctx.buffered < b_th:
-            return _download(cur, dtaap_bitrate(ctx, 0), threshold=b_th)
+            return Download(cur.video_index, dtaap_bitrate(ctx, 0),
+                            threshold=b_th)
         b0 = ctx.config.b0_startup_chunks
         if cur.downloaded < b0:
-            return _download(cur, dtaap_bitrate(ctx, 0), threshold=b0)
+            return Download(cur.video_index, dtaap_bitrate(ctx, 0),
+                            threshold=b0)
     for j in range(1, len(ctx.players)):
         p = ctx.players[j]
         if p.complete:
             continue
         b_th = buffer_threshold_next(ctx, j)
         if p.downloaded < b_th:
-            return _download(p, dtaap_bitrate(ctx, j), threshold=b_th)
-    return _sleep(ctx.config.t_sleep_s)
+            return Download(p.video_index, dtaap_bitrate(ctx, j),
+                            threshold=b_th)
+    return Sleep()
 
 
 def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
@@ -335,14 +343,17 @@ def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
     cur = ctx.players[0]
     if not cur.complete:
         if ctx.buffered < b_current:
-            return _download(cur, cur.ladder.match(ctx.c_ave), threshold=b_current)
+            return Download(cur.video_index, cur.ladder.match(ctx.c_ave),
+                            threshold=b_current)
         b0 = ctx.config.b0_startup_chunks
         if cur.downloaded < b0:
-            return _download(cur, cur.ladder.match(ctx.c_ave), threshold=b0)
+            return Download(cur.video_index, cur.ladder.match(ctx.c_ave),
+                            threshold=b0)
     for p in ctx.players[1:]:
         if not p.complete and p.downloaded < b_next:
-            return _download(p, p.ladder.match(ctx.c_ave), threshold=b_next)
-    return _sleep(ctx.config.t_sleep_s)
+            return Download(p.video_index, p.ladder.match(ctx.c_ave),
+                            threshold=b_next)
+    return Sleep()
 
 
 def fixb_decide(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
@@ -357,9 +368,9 @@ def nextone_decide(ctx: StrategyContext) -> Action:
         return _warmup_action(ctx)
     for p in ctx.players:
         if not p.complete:
-            return _download(p, p.ladder.match(ctx.c_ave),
+            return Download(p.video_index, p.ladder.match(ctx.c_ave),
                              threshold=p.chunk_count)
-    return _sleep(ctx.config.t_sleep_s)
+    return Sleep()
 
 
 def networkbased_decide(ctx: StrategyContext) -> Action:
@@ -408,8 +419,9 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
             cap = max(cap, play_need, ctx.config.b0_startup_chunks)
         if p.downloaded < cap:
             weighted = ctx.c_ave * _reach_probability(p, p.next_needed)
-            return _download(p, p.ladder.match(weighted), threshold=cap)
-    return _sleep(ctx.config.t_sleep_s)
+            return Download(p.video_index, p.ladder.match(weighted),
+                            threshold=cap)
+    return Sleep()
 
 
 class Strategy(NamedTuple):

@@ -8,6 +8,7 @@ independent check of the engine's kilobit sums.
 """
 import math
 
+from swipesim.core import chunk_kbit
 from swipesim.metrics import total_kilobits
 from swipesim.retention import derive_thresholds, swipe_cdf
 from swipesim.strategy import Download, PlayerView, Sleep, StrategyContext
@@ -96,20 +97,21 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
             action = strategy.decide(ctx)
             marker = total_rebuf
             if isinstance(action, Download):
-                ref = action.chunk
-                size = videos[ref.video_index].chunk_size_kbit(ref.bitrate_kbps)
+                vi, rate = action.video_index, action.bitrate_kbps
+                # the next chunk of the player, from the oracle's own count
+                k = len(downloaded[vi]) + 1
+                size = chunk_kbit(rate, videos[vi].chunk_duration_s)
                 finish = t + size / bandwidth_kbps
                 # the depth the download was issued at: unplayed chunks on
                 # screen, every downloaded chunk of a recommended video
-                buff = (playhead()[0] if ref.video_index == cur
-                        else len(downloaded[ref.video_index]))
-                events.append(("dl_start", t, ref.video_index, ref.chunk_index,
-                               ref.bitrate_kbps, buff, action.threshold))
-                in_flight = (ref, size, t, finish)
+                buff = playhead()[0] if vi == cur else len(downloaded[vi])
+                events.append(("dl_start", t, vi, k, rate, buff,
+                               action.threshold))
+                in_flight = (vi, k, rate, size, t, finish)
                 target = finish
             else:
                 assert isinstance(action, Sleep)
-                wake = t + action.duration_s
+                wake = t + config.t_sleep_s
                 if started and play_chunk <= len(downloaded[cur]):
                     boundary = chunk_begin + videos[cur].chunk_duration_s
                     if boundary < wake:
@@ -117,7 +119,7 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
                 events.append(("sleep", t, wake))
                 target = wake
         else:
-            target = in_flight[3]
+            target = in_flight[5]
 
         # play forward to the target instant
         while t < target and not done:
@@ -163,14 +165,13 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
         if done:
             break
 
-        if in_flight is not None and t == in_flight[3]:
-            ref, size, t0, finish = in_flight
-            downloaded[ref.video_index].append(ref.bitrate_kbps)
+        if in_flight is not None and t == in_flight[5]:
+            vi, k, rate, size, t0, finish = in_flight
+            downloaded[vi].append(rate)
             samples.append(size / (finish - t0))
-            r_last = ref.bitrate_kbps
-            events.append(("dl_done", t, ref.video_index, ref.chunk_index))
-            if (started and ref.video_index == cur
-                    and ref.chunk_index == play_chunk):
+            r_last = rate
+            events.append(("dl_done", t, vi, k))
+            if started and vi == cur and k == play_chunk:
                 chunk_begin = t
                 mark_play()
             in_flight = None

@@ -240,18 +240,19 @@ def test_criterion_3_closed_form_examples():
     ctx.players[1] = make_view(1, k_min=2, k_early=8)
     assert buffer_threshold_next(ctx) == 4
 
+    # a Download names the player; the engine fetches its next chunk
     ctx = make_ctx(downloaded=3, buffered=1)
     action = dtaap_decide(ctx)
     assert isinstance(action, Download)
-    assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
+    assert (action.video_index, ctx.players[0].downloaded + 1) == (0, 4)
     ctx = make_ctx(c_ave=2000.0, c_min=1500.0, downloaded=5, buffered=5)
     action = dtaap_decide(ctx)
-    assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
+    assert (action.video_index, ctx.players[1].downloaded + 1) == (1, 1)
     players = [make_view(0, downloaded=10)]
     players += [make_view(j, downloaded=5, k_min=2) for j in range(1, 5)]
     cfg = SessionConfig()
     assert dtaap_decide(make_ctx(players=players, buffered=10,
-                                 config=cfg)) == Sleep(cfg.t_sleep_s)
+                                 config=cfg)) == Sleep()
 
     ctx = make_ctx(c_pred=1000.0, r_last=1850, rebuffer_flag=True,
                    downloaded=1, buffered=0)
@@ -267,21 +268,22 @@ def test_criterion_3_closed_form_examples():
     assert dtaap_bitrate(ctx, 1) == 1200
 
     ctx = make_ctx(downloaded=2, buffered=2)
-    assert fixb_decide(ctx, 4, 2).chunk.video_index == 0
+    assert fixb_decide(ctx, 4, 2).video_index == 0
     players = [make_view(0, downloaded=4)]
     players += [make_view(j, downloaded=2) for j in range(1, 5)]
     assert isinstance(fixb_decide(make_ctx(players=players, buffered=4), 4, 2),
                       Sleep)
     ctx = make_ctx(c_ave=600.0)
     ctx.players[0] = make_view(0)
-    assert fixb_decide(ctx, 4, 2).chunk.bitrate_kbps == 750
+    assert fixb_decide(ctx, 4, 2).bitrate_kbps == 750
 
     ctx = make_ctx(downloaded=9, buffered=9, chunk_count=10)
-    assert nextone_decide(ctx).chunk.chunk_index == 10
+    assert nextone_decide(ctx).video_index == 0
+    assert ctx.players[0].downloaded + 1 == 10
     players = [make_view(0, downloaded=10, chunk_count=10)]
     players += [make_view(j, downloaded=0, chunk_count=8) for j in range(1, 5)]
     action = nextone_decide(make_ctx(players=players))
-    assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
+    assert (action.video_index, players[1].downloaded + 1) == (1, 1)
     players = [make_view(0, downloaded=10, chunk_count=10)]
     players += [make_view(j, downloaded=8, chunk_count=8) for j in range(1, 5)]
     assert isinstance(nextone_decide(make_ctx(players=players)), Sleep)
@@ -290,9 +292,9 @@ def test_criterion_3_closed_form_examples():
                make_view(1, downloaded=0), make_view(2, downloaded=1),
                make_view(3, downloaded=1), make_view(4, downloaded=1)]
     ctx = make_ctx(players=players, buffered=2, c_pred=3000.0, c_min=2600.0)
-    assert networkbased_decide(ctx).chunk.video_index == 1
+    assert networkbased_decide(ctx).video_index == 1
     ctx = make_ctx(c_pred=700.0, c_min=2600.0, downloaded=2, buffered=2)
-    assert networkbased_decide(ctx).chunk.video_index == 0
+    assert networkbased_decide(ctx).video_index == 0
     players = [make_view(0, downloaded=4)]
     players += [make_view(j, downloaded=2) for j in range(1, 5)]
     ctx = make_ctx(players=players, buffered=4, c_pred=1500.0, c_min=2600.0)
@@ -303,17 +305,17 @@ def test_criterion_3_closed_form_examples():
     players = [make_view(0, downloaded=3, swipe_cdf=cdf)]
     players += [make_view(j, downloaded=9, swipe_cdf=cdf) for j in range(1, 5)]
     action = pdas_lite_decide(make_ctx(players=players, buffered=3))
-    assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
+    assert (action.video_index, players[0].downloaded + 1) == (0, 4)
     no_early = (0.0,) * 9 + (1.0,)
     players = [make_view(0, downloaded=0, swipe_cdf=no_early)]
     players += [make_view(j, downloaded=9) for j in range(1, 5)]
     action = pdas_lite_decide(make_ctx(players=players, buffered=0, c_ave=1300.0))
-    assert action.chunk.bitrate_kbps == 1200
+    assert action.bitrate_kbps == 1200
     players = [make_view(0, downloaded=1, chunk_count=1, swipe_cdf=(1.0,))]
     players += [make_view(j, downloaded=0, chunk_count=1, swipe_cdf=(1.0,))
                 for j in range(1, 5)]
     action = pdas_lite_decide(make_ctx(players=players, buffered=1))
-    assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
+    assert (action.video_index, players[1].downloaded + 1) == (1, 1)
 
     trace = parse_throughput_trace("0,2000\n1,1500")
     assert trace.samples == ((0.0, 2000.0), (1.0, 1500.0))

@@ -5,7 +5,7 @@ import pytest
 
 from swipesim import cli
 from swipesim.cli import _load_trace_dir, default_behavior, main
-from swipesim.retention import build_model, model_from_json, model_to_json
+from swipesim.retention import build_model, model_from_dict, model_to_json
 from swipesim.trace_io import (
     generate_scenario,
     parse_throughput_trace,
@@ -26,7 +26,8 @@ class TestModelBuild:
         assert run_cli("model", "build", str(csv), "--out", str(out)) == 0
         files = sorted(p.name for p in out.glob("*.json"))
         assert files == ["retention_cat_a.json", "retention_cat_b.json"]
-        model = model_from_json((out / "retention_cat_a.json").read_text())
+        model = model_from_dict(
+            json.loads((out / "retention_cat_a.json").read_text()))
         assert model.mass[40] == pytest.approx(0.05)
 
     def test_empty_csv_is_input_error(self, tmp_path):

@@ -8,6 +8,7 @@ from swipesim.core import (
     PlayerBuffer,
     SessionConfig,
     VideoSpec,
+    chunk_kbit,
 )
 
 LADDER = BitrateLadder((750, 1200, 1850))
@@ -53,8 +54,8 @@ class TestVideoSpec:
 
     def test_chunk_size_integral(self):
         v = make_video()
-        assert v.chunk_size_kbit(750) == 750
-        assert isinstance(v.chunk_size_kbit(750), int)
+        assert chunk_kbit(750, v.chunk_duration_s) == 750
+        assert isinstance(chunk_kbit(750, v.chunk_duration_s), int)
 
 
 class TestChunkRef:

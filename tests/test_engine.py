@@ -1,13 +1,17 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from _oracle import brute_force_session, canonical
 
 from swipesim.cli import default_behavior, default_catalog
-from swipesim.core import BitrateLadder, ChunkRef, SessionConfig, VideoSpec
+from swipesim.core import BitrateLadder, SessionConfig, VideoSpec, chunk_kbit
 from swipesim.engine import (
     SessionScript,
     SimulationError,
@@ -175,8 +179,7 @@ def _fill_then(action):
     def decide(ctx):
         cur = ctx.players[0]
         if cur.downloaded < cur.spec.chunk_count:
-            return Download(ChunkRef(cur.video_index, cur.downloaded + 1,
-                                     cur.spec.ladder.lowest))
+            return Download(cur.video_index, cur.spec.ladder.lowest)
         return action
     return decide
 
@@ -184,47 +187,107 @@ def _fill_then(action):
 def _after_first_swipe(action):
     """Play the on-screen video in order at its lowest rung; once the first
     swipe has moved the window past video 0, return ``action``."""
-    fill = _fill_then(Sleep(0.5))
+    fill = _fill_then(Sleep())
 
     def decide(ctx):
         return action if ctx.players[0].video_index > 0 else fill(ctx)
     return decide
 
 
+ROOT = Path(__file__).resolve().parent.parent
+ROGUE_SCRIPT = SessionScript("s", videos_of(7, 2), (2,) * 7)
+
+
+def _run_rogue(decide):
+    return run_session(ROGUE_SCRIPT, const_trace(2000),
+                       Strategy("rogue", decide), CFG, MODEL)
+
+
+def _first_chunk_then_sleep(ctx):
+    """Fetch chunk 1 of the on-screen video, then only sleep: playback
+    starts and stalls at chunk 2."""
+    cur = ctx.players[0]
+    return Download(cur.video_index, 750) if cur.downloaded == 0 else Sleep()
+
+
+# id -> (a strategy that sleeps while the video on screen waits, the
+# error's subject)
+IDLE_CASES = {
+    "first-startup": (lambda ctx: Sleep(), "video 0 waits for chunk 1"),
+    "swipe-startup": (_after_first_swipe(Sleep()),
+                      "video 1 waits for chunk 1"),
+    "mid-video": (_first_chunk_then_sleep, "video 0 waits for chunk 2"),
+}
+
+_IDLE_CHILD = """\
+import sys
+import test_engine
+from swipesim.engine import SimulationError
+try:
+    test_engine._run_rogue(test_engine.IDLE_CASES[sys.argv[1]][0])
+except SimulationError as err:
+    print(err)
+else:
+    sys.exit("the session ended")
+"""
+
+
 class TestStrategyBoundary:
     """The engine rejects every malformed action a strategy can return."""
 
-    SCRIPT = SessionScript("s", videos_of(7, 2), (2,) * 7)
+    SCRIPT = ROGUE_SCRIPT
 
     @pytest.mark.parametrize("decide, message", [
-        (lambda ctx: Download(ChunkRef(5, 1, 750)),
-         "video 5 outside the window"),
-        (_after_first_swipe(Download(ChunkRef(0, 1, 750))),
-         "video 0 outside the window"),
-        (_fill_then(Download(ChunkRef(0, 3, 750))), "completed video 0"),
-        (lambda ctx: Download(ChunkRef(0, 2, 750)),
-         "requested chunk 2 of video 0, next needed is 1"),
-        (lambda ctx: Download(ChunkRef(0, 1, 999)),
-         "off-ladder bitrate 999"),
-        (lambda ctx: Download(ChunkRef(0, 1, [750])),
-         r"off-ladder bitrate \[750\]"),
-        (lambda ctx: Sleep(0.0), "invalid strategy action"),
-        (lambda ctx: Sleep(-0.5), "invalid strategy action"),
+        (lambda ctx: Download(5, 750), "video 5 outside the window"),
+        (_after_first_swipe(Download(0, 750)), "video 0 outside the window"),
+        (_fill_then(Download(0, 750)), "completed video 0"),
+        (lambda ctx: Download(0, 999), "off-ladder bitrate 999"),
+        (lambda ctx: Download(0, [750]), r"off-ladder bitrate \[750\]"),
         (lambda ctx: None, "invalid strategy action None"),
         (lambda ctx: "sleep", "invalid strategy action 'sleep'"),
     ], ids=["outside-window", "departed-video", "completed-video",
-            "chunk-order", "off-ladder", "unhashable-bitrate", "zero-sleep",
-            "negative-sleep", "none", "string"])
+            "off-ladder", "unhashable-bitrate", "none", "string"])
     def test_rogue_action_raises(self, decide, message):
         with pytest.raises(SimulationError, match=message):
-            run_session(self.SCRIPT, const_trace(2000),
-                        Strategy("rogue", decide), CFG, MODEL)
+            _run_rogue(decide)
 
     def test_rogue_filler_is_otherwise_valid(self):
         # the completed-video case fails on its own request, not before it
-        res = run_session(self.SCRIPT, const_trace(2000),
-                          Strategy("rogue", _fill_then(Sleep(0.5))), CFG, MODEL)
+        res = _run_rogue(_fill_then(Sleep()))
         assert all(v.downloaded_chunks == 2 for v in res.videos)
+
+    @pytest.mark.parametrize("case", sorted(IDLE_CASES))
+    def test_idle_while_waiting_raises(self, case):
+        # a session that lets such a sleep pass never ends, so it runs in a
+        # child process whose timeout fails the test instead of stalling
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src"), str(ROOT / "tests")]
+            + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-c", _IDLE_CHILD, case],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            f"strategy idled while {IDLE_CASES[case][1]}")
+
+    def test_idle_at_a_swipe_onto_a_ready_video_is_valid(self):
+        # every window player filled, then sleeps that wake at chunk ends:
+        # once the window is full a swipe lands on a sleep's bound, and the
+        # decision there comes before the next video, already buffered,
+        # starts playing
+        def fill_window(ctx):
+            for p in ctx.players:
+                if p.downloaded < p.spec.chunk_count:
+                    return Download(p.video_index, p.spec.ladder.lowest)
+            return Sleep()
+        res = run_session(self.SCRIPT, const_trace(2000),
+                          Strategy("filler", fill_window), CFG, MODEL,
+                          record_timeline=True)
+        swipes = {ev[1] for ev in res.timeline if ev[0] == "swipe"}
+        sleeps = {ev[1] for ev in res.timeline if ev[0] == "sleep"}
+        assert swipes & sleeps
+        assert res.rebuffer_total_s == 0.0
 
 
 class TestTimelineParity:
@@ -257,6 +320,10 @@ class TestStarvation:
         with pytest.raises(StarvationError) as err:
             run_session(script, trace, make_strategy("dtaap"), CFG, MODEL)
         assert err.value.video_index == 0
+        # the chunk comes from the engine's own count: none has landed
+        assert err.value.chunk_index == 1
+        assert str(err.value) == ("starved at t=0.000s waiting for video 0 "
+                                  "chunk 1: no bandwidth left in trace")
 
     def test_batch_flags_starved_rows(self):
         script = SessionScript("s", videos_of(1, 2, LADDER1), (2,))
@@ -431,7 +498,7 @@ class TestChunkSizeTable:
     def test_one_table_per_video(self):
         spec = VideoSpec("a", "cat", 4, 1.5, LADDER3)
         table = spec.chunk_kbit_by_rate
-        assert table == {r: spec.chunk_size_kbit(r) for r in LADDER3.levels}
+        assert table == {r: chunk_kbit(r, 1.5) for r in LADDER3.levels}
         assert table is spec.chunk_kbit_by_rate
         # a session reads the table but leaves it as it was
         script = SessionScript("s", (spec,), (4,))

@@ -14,7 +14,7 @@ from swipesim.retention import (
     RetentionModel,
     build_model,
     derive_thresholds,
-    model_from_json,
+    model_from_dict,
     model_to_json,
     swipe_cdf,
     swipe_probability,
@@ -135,7 +135,7 @@ class TestReconstruction:
 
 class TestModelJson:
     def test_roundtrip(self):
-        again = model_from_json(model_to_json(TWO_TRACE_MODEL))
+        again = model_from_dict(json.loads(model_to_json(TWO_TRACE_MODEL)))
         assert again == TWO_TRACE_MODEL
 
     def test_rejects_bad_mass(self):

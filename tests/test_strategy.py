@@ -5,7 +5,7 @@ import zlib
 import pytest
 from helpers import make_ctx, make_view
 
-from swipesim.core import ChunkRef, SessionConfig
+from swipesim.core import SessionConfig
 from swipesim.retention import build_model, swipe_cdf
 from swipesim.strategy import (
     Download,
@@ -90,15 +90,15 @@ class TestDtaapDecide:
         ctx = make_ctx(downloaded=3, buffered=1)
         action = dtaap_decide(ctx)
         assert isinstance(action, Download)
-        assert action.chunk.video_index == 0
-        assert action.chunk.chunk_index == 4
+        assert action.video_index == 0
+        assert ctx.players[0].downloaded + 1 == 4
 
     def test_moves_to_recommended_when_current_at_threshold(self):
         ctx = make_ctx(c_ave=2000.0, c_min=1500.0, downloaded=5, buffered=5)
         action = dtaap_decide(ctx)
         assert isinstance(action, Download)
-        assert action.chunk.video_index == 1
-        assert action.chunk.chunk_index == 1
+        assert action.video_index == 1
+        assert ctx.players[1].downloaded + 1 == 1
 
     def test_sleeps_when_everyone_at_threshold(self):
         cfg = SessionConfig()
@@ -108,15 +108,15 @@ class TestDtaapDecide:
         ctx = make_ctx(players=players, buffered=10, c_ave=2000.0, c_min=1500.0,
                        config=cfg)
         action = dtaap_decide(ctx)
-        assert action == Sleep(cfg.t_sleep_s)
+        assert action == Sleep()
 
     def test_warmup_bootstraps_lowest(self):
         ctx = make_ctx(c_pred=None, c_ave=None, r_last=None)
         action = dtaap_decide(ctx)
         assert isinstance(action, Download)
-        assert action.chunk.video_index == 0
-        assert action.chunk.chunk_index == 1
-        assert action.chunk.bitrate_kbps == 750
+        assert action.video_index == 0
+        assert ctx.players[0].downloaded + 1 == 1
+        assert action.bitrate_kbps == 750
 
 
 class TestDtaapBitrate:
@@ -208,7 +208,7 @@ class TestFixB:
         ctx = make_ctx(downloaded=2, buffered=2)
         action = fixb_decide(ctx, 4, 2)
         assert isinstance(action, Download)
-        assert action.chunk.video_index == 0
+        assert action.video_index == 0
 
     def test_sleeps_at_thresholds(self):
         players = [make_view(0, downloaded=4)]
@@ -219,7 +219,7 @@ class TestFixB:
     def test_low_average_picks_lowest_rung(self):
         ctx = make_ctx(c_ave=600.0, downloaded=0, buffered=0)
         action = fixb_decide(ctx, 4, 2)
-        assert action.chunk.bitrate_kbps == 750
+        assert action.bitrate_kbps == 750
 
     def test_rejects_bad_thresholds(self):
         with pytest.raises(ValueError):
@@ -230,14 +230,16 @@ class TestNextOne:
     def test_finishes_current_first(self):
         ctx = make_ctx(downloaded=9, buffered=9, chunk_count=10)
         action = nextone_decide(ctx)
-        assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 10)
+        assert action.video_index == 0
+        assert ctx.players[0].downloaded + 1 == 10
 
     def test_fills_recommended_in_order(self):
         players = [make_view(0, downloaded=10, chunk_count=10)]
         players += [make_view(j, downloaded=0, chunk_count=8) for j in range(1, 5)]
         ctx = make_ctx(players=players)
         action = nextone_decide(ctx)
-        assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
+        assert action.video_index == 1
+        assert players[1].downloaded + 1 == 1
 
     def test_sleeps_when_everything_downloaded(self):
         players = [make_view(0, downloaded=10, chunk_count=10)]
@@ -253,12 +255,12 @@ class TestNetworkBased:
                    make_view(3, downloaded=1), make_view(4, downloaded=1)]
         ctx = make_ctx(players=players, buffered=2, c_pred=3000.0, c_min=2600.0)
         action = networkbased_decide(ctx)
-        assert action.chunk.video_index == 1
+        assert action.video_index == 1
 
     def test_starved_keeps_filling_current(self):
         ctx = make_ctx(c_pred=700.0, c_min=2600.0, downloaded=2, buffered=2)
         action = networkbased_decide(ctx)
-        assert action.chunk.video_index == 0
+        assert action.video_index == 0
 
     def test_constrained_sleeps_at_thresholds(self):
         players = [make_view(0, downloaded=4)]
@@ -280,7 +282,8 @@ class TestPdasLite:
         players += [make_view(j, downloaded=9, swipe_cdf=cdf) for j in range(1, 5)]
         ctx = make_ctx(players=players, buffered=3)
         action = pdas_lite_decide(ctx)
-        assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
+        assert action.video_index == 0
+        assert players[0].downloaded + 1 == 4
         # at the cap the current player is skipped
         players[0].downloaded = 4
         assert isinstance(pdas_lite_decide(make_ctx(players=players, buffered=4)),
@@ -294,7 +297,8 @@ class TestPdasLite:
         players += [make_view(j, downloaded=9) for j in range(1, 5)]
         ctx = make_ctx(players=players, buffered=0)
         action = pdas_lite_decide(ctx)
-        assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 4)
+        assert action.video_index == 0
+        assert players[0].downloaded + 1 == 4
 
     def test_bitrate_weighted_by_reach(self):
         cdf = (0.0,) * 9 + (1.0,)  # nobody swipes before the end
@@ -302,7 +306,7 @@ class TestPdasLite:
         players += [make_view(j, downloaded=9) for j in range(1, 5)]
         ctx = make_ctx(players=players, buffered=0, c_ave=1300.0)
         action = pdas_lite_decide(ctx)
-        assert action.chunk.bitrate_kbps == 1200
+        assert action.bitrate_kbps == 1200
 
     def test_single_chunk_videos_cap_at_one(self):
         players = [make_view(0, downloaded=0, chunk_count=1, swipe_cdf=(1.0,))]
@@ -310,10 +314,12 @@ class TestPdasLite:
                     for j in range(1, 5)]
         ctx = make_ctx(players=players, buffered=0)
         action = pdas_lite_decide(ctx)
-        assert (action.chunk.video_index, action.chunk.chunk_index) == (0, 1)
+        assert action.video_index == 0
+        assert players[0].downloaded + 1 == 1
         players[0].downloaded = 1
         action = pdas_lite_decide(make_ctx(players=players, buffered=1))
-        assert (action.chunk.video_index, action.chunk.chunk_index) == (1, 1)
+        assert action.video_index == 1
+        assert players[1].downloaded + 1 == 1
 
 
 def _cap_by_rule(cdf):
@@ -377,51 +383,54 @@ class TestPdasRetentionCap:
 
 
 class TestActions:
-    REF = ChunkRef(2, 3, 1200)
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(Download)] == [
+            "video_index", "bitrate_kbps", "threshold"]
+        assert dataclasses.fields(Sleep) == ()
 
     def test_frozen(self):
-        actions = [(self.REF, "video_index"),
-                   (Download(self.REF, 2.0), "threshold"),
-                   (Sleep(0.5), "duration_s")]
-        for action, name in actions:
+        d = Download(2, 1200, 2.0)
+        for name in ("video_index", "bitrate_kbps", "threshold"):
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(action, name, 7)
+                setattr(d, name, 7)
+        # Sleep has no field to assign, and no __dict__ to grow one
+        assert Sleep.__dataclass_params__.frozen
+        for action in (d, Sleep()):
             assert not hasattr(action, "__dict__")
 
     def test_equal_and_hashable(self):
-        assert ChunkRef(2, 3, 1200) == self.REF
-        a = Download(ChunkRef(2, 3, 1200), threshold=2.0)
-        b = Download(self.REF, 2.0)
+        a = Download(2, 1200, threshold=2.0)
+        b = Download(2, 1200, 2.0)
         assert a == b and hash(a) == hash(b)
-        assert a != Download(self.REF, 3.0)
-        assert Sleep(0.5) == Sleep(0.5) and hash(Sleep(0.5)) == hash(Sleep(0.5))
-        assert len({a, b, Sleep(0.5), Sleep(0.5), self.REF}) == 3
-        assert Download(self.REF) == Download(chunk=self.REF, threshold=None)
+        assert a != Download(2, 1200, 3.0)
+        assert a != Download(2, 750, 2.0) and a != Download(1, 1200, 2.0)
+        assert Sleep() == Sleep() and hash(Sleep()) == hash(Sleep())
+        assert len({a, b, Sleep(), Sleep()}) == 2
+        assert Download(2, 1200) == Download(video_index=2, bitrate_kbps=1200,
+                                             threshold=None)
 
     def test_replace(self):
-        d = Download(self.REF, 2.0)
-        assert dataclasses.replace(d, threshold=4) == Download(self.REF, 4)
-        assert dataclasses.replace(self.REF, chunk_index=4) == ChunkRef(2, 4, 1200)
-        assert dataclasses.replace(Sleep(0.5), duration_s=1.0) == Sleep(1.0)
+        d = Download(2, 1200, 2.0)
+        assert dataclasses.replace(d, threshold=4) == Download(2, 1200, 4)
+        assert dataclasses.replace(d, bitrate_kbps=750) == Download(2, 750, 2.0)
+        assert dataclasses.replace(Sleep()) == Sleep()
 
     def test_repr(self):
-        assert repr(Download(self.REF, 2.0)) == (
-            "Download(chunk=ChunkRef(video_index=2, chunk_index=3, "
-            "bitrate_kbps=1200), threshold=2.0)")
-        assert repr(Sleep(0.5)) == "Sleep(duration_s=0.5)"
+        assert repr(Download(2, 1200, 2.0)) == (
+            "Download(video_index=2, bitrate_kbps=1200, threshold=2.0)")
+        assert repr(Sleep()) == "Sleep()"
 
     def test_never_equal_to_plain_tuples(self):
-        assert Download(self.REF, 2.0) != (self.REF, 2.0)
-        assert Download(self.REF, 2.0) != ((2, 3, 1200), 2.0)
-        assert self.REF != (2, 3, 1200)
-        assert Sleep(0.5) != (0.5,)
+        assert Download(2, 1200, 2.0) != (2, 1200, 2.0)
+        assert Download(2, 1200) != (2, 1200, None)
+        assert Sleep() != ()
 
     def test_idle_decisions_equal_a_fresh_sleep(self):
         players = [make_view(0, downloaded=10)]
         players += [make_view(j, downloaded=10) for j in range(1, 5)]
         for name in STRATEGIES:
             action = make_strategy(name).decide(make_ctx(players=players))
-            assert action == Sleep(SessionConfig().t_sleep_s)
+            assert action == Sleep()
             assert type(action) is Sleep
 
 
@@ -466,14 +475,11 @@ def test_actions_always_valid(name):
         ctx = _random_ctx(rng)
         action = strat.decide(ctx)
         if isinstance(action, Sleep):
-            assert action.duration_s > 0
             continue
-        ref = action.chunk
-        player = next(p for p in ctx.players if p.video_index == ref.video_index)
+        player = next(p for p in ctx.players
+                      if p.video_index == action.video_index)
         assert not player.complete
-        assert ref.chunk_index == player.next_needed
-        assert ref.chunk_index <= player.chunk_count
-        assert ref.bitrate_kbps in player.ladder.levels
+        assert action.bitrate_kbps in player.ladder.levels
 
 
 @pytest.mark.parametrize("name", ["dtaap", "fixb", "network"])

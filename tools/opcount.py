@@ -1,0 +1,91 @@
+"""Count the bytecodes a fixed slice of sessions executes.
+
+Usage, from the root of a checkout:
+
+    python3 tools/opcount.py [--src src]
+
+The slice is 50 sessions: the five strategies, each over the first script
+of `swipesim compare --seed 11` and the first five `medium` and five
+`mixed` traces that `compare --seed 11` generates. Every session runs once
+untraced first, so the per-video caches are warm, and then once under a
+`sys.settrace` hook with opcode events on. The script prints the total
+opcode count, the count per source module and the summed session utility,
+which shows that a change left the output alone.
+
+A bytecode count does not depend on the host's speed, so it can show that
+a change removed work where paired timings are too noisy to. A call into
+C counts as one opcode, so a count is read next to timings, never instead
+of them. Tracing slows a session about 70 times; the slice stays small,
+and nothing here runs in the tests or in the benchmark.
+"""
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+SEED = 11
+SCENARIOS = ("medium", "mixed")
+TRACES_PER_SCENARIO = 5
+
+
+def _module(filename: str) -> str:
+    path = Path(filename)
+    return path.stem if path.suffix == ".py" else filename
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
+                        help="directory that holds the swipesim package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    from swipesim import cli
+    from swipesim.core import SessionConfig
+    from swipesim.engine import run_session
+    from swipesim.strategy import STRATEGY_NAMES, make_strategy
+
+    opts = cli.build_parser().parse_args(
+        ["compare", "--seed", str(SEED), "--out", "unused"])
+    behavior = cli._build_behavior(opts)
+    models = cli._resolve_models(opts, behavior)
+    script = cli._build_scripts(opts, behavior, 1)[0]
+    traces = cli._build_traces(opts, list(SCENARIOS), TRACES_PER_SCENARIO,
+                               opts.duration)
+    config = SessionConfig()
+    sessions = [(make_strategy(name), ref.trace)
+                for name in STRATEGY_NAMES for ref in traces]
+    for strategy, trace in sessions:
+        run_session(script, trace, strategy, config, models)
+
+    ops: Counter = Counter()
+
+    def tracer(frame, event, _arg):
+        frame.f_trace_opcodes = True
+        if event == "opcode":
+            ops[frame.f_code.co_filename] += 1
+        return tracer
+
+    utility = 0.0
+    for strategy, trace in sessions:
+        sys.settrace(tracer)
+        try:
+            res = run_session(script, trace, strategy, config, models)
+        finally:
+            sys.settrace(None)
+        utility += res.utility
+
+    per_module: Counter = Counter()
+    for filename, n in ops.items():
+        per_module[_module(filename)] += n
+    print(f"sessions {len(sessions)}")
+    print(f"opcodes {sum(per_module.values())}")
+    for name, n in per_module.most_common():
+        print(f"  {name} {n}")
+    print(f"utility_sum {utility!r}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

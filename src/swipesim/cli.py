@@ -104,13 +104,6 @@ def default_behavior(seed: int,
     return traces
 
 
-def _group_by_category(traces) -> dict:
-    grouped: dict[str, list] = {}
-    for tr in traces:
-        grouped.setdefault(tr.category, []).append(tr)
-    return grouped
-
-
 class _Object(dict):
     """A JSON object of an input file: a missing field is an input error."""
 
@@ -220,12 +213,11 @@ def _scripts_to_dict(scripts) -> dict:
     }
 
 
-def _build_scripts(args, behavior, n_scripts: int) -> list[SessionScript]:
+def _build_scripts(args, grouped, n_scripts: int) -> list[SessionScript]:
     if args.scripts:
         return _read_input("scripts", args.scripts, _scripts, dict)
     catalog = (_read_input("catalog", args.catalog, _catalog, list)
                if args.catalog else default_catalog(args.seed))
-    grouped = _group_by_category(behavior)
     rng = random.Random(f"scripts:{args.seed}")
     scripts = []
     for i in range(n_scripts):
@@ -235,10 +227,14 @@ def _build_scripts(args, behavior, n_scripts: int) -> list[SessionScript]:
     return scripts
 
 
-def _build_behavior(args) -> list[BehaviorTrace]:
-    if args.behavior:
-        return _read_input("behavior", args.behavior, parse_behavior_traces)
-    return default_behavior(args.seed)
+def _behavior_by_category(args) -> dict[str, list[BehaviorTrace]]:
+    """The behavior population, grouped by category in first-seen order."""
+    traces = (_read_input("behavior", args.behavior, parse_behavior_traces)
+              if args.behavior else default_behavior(args.seed))
+    grouped: dict[str, list[BehaviorTrace]] = {}
+    for tr in traces:
+        grouped.setdefault(tr.category, []).append(tr)
+    return grouped
 
 
 def _load_trace_dir(path) -> list[TraceRef]:
@@ -330,21 +326,20 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _resolve_models(args, behavior):
+def _resolve_models(args, grouped):
     """The per-category models, or the one ``--model`` that the engine then
     applies to every category."""
     if args.model:
         return _read_input("model", args.model, model_from_dict, dict)
-    grouped = _group_by_category(behavior)
     return {cat: build_model(traces, cat) for cat, traces in grouped.items()}
 
 
 def cmd_run(args) -> int:
     strategy = make_strategy(args.strategy, args.fixb_current, args.fixb_next)
     config = _load_config(args.config)
-    behavior = _build_behavior(args)
-    models = _resolve_models(args, behavior)
-    scripts = _build_scripts(args, behavior, n_scripts=1)
+    grouped = _behavior_by_category(args)
+    models = _resolve_models(args, grouped)
+    scripts = _build_scripts(args, grouped, n_scripts=1)
     trace = _build_traces(args, [args.scenario], 1, args.duration)[0]
     res = run_session(scripts[0], trace.trace, strategy, config, models)
     payload = {
@@ -384,9 +379,9 @@ def cmd_compare(args) -> int:
     strategies = [make_strategy(n, args.fixb_current, args.fixb_next)
                   for n in strategy_names]
     config = _load_config(args.config)
-    behavior = _build_behavior(args)
-    models = _resolve_models(args, behavior)
-    scripts = _build_scripts(args, behavior, args.n_scripts)
+    grouped = _behavior_by_category(args)
+    models = _resolve_models(args, grouped)
+    scripts = _build_scripts(args, grouped, args.n_scripts)
     traces = _build_traces(args, scenarios, args.n_traces, args.duration)
 
     manifest = {

@@ -190,9 +190,6 @@ class _Simulation:
         self.stalls = [[0.0] * sp for sp in script.swipe_points]
         self.history = ThroughputHistory(config.window_chunks)
         self.views: list[PlayerView] = []
-        # per video, the size of one chunk at each ladder rung; doubles as
-        # the ladder check on strategy requests
-        self._chunk_kbit: list[dict] = []
         for i, spec in enumerate(script.videos):
             thresholds, cdf = _video_profile(
                 _model_for(model, spec.category), spec.chunk_count,
@@ -200,13 +197,9 @@ class _Simulation:
             self.views.append(PlayerView(
                 spec=spec, video_index=i, downloaded=0,
                 thresholds=thresholds, swipe_cdf=cdf))
-            self._chunk_kbit.append(spec.chunk_kbit_by_rate)
         self.total_rebuffer = 0.0
-        self.rebuffer_marker = 0.0
         self.done = False
-        self.end_t = 0.0
         self.timeline: Optional[list] = [] if record_timeline else None
-        self._win_hi = 0
         self._ctx = StrategyContext(
             players=[], buffered=0, lead=0.0, c_pred=None, c_ave=None,
             c_min=0.0, r_last=None, rebuffer_flag=False, config=config)
@@ -220,9 +213,11 @@ class _Simulation:
         self._win_hi = min(lo + self.config.n_pred, self.n_videos)
         window = self.views[lo:self._win_hi]
         self._ctx.players = window
+        b0 = self.config.b0_startup_chunks
+        # the chunks the current video needs before its playback starts
+        self._startup_chunks = min(b0, window[0].chunk_count)
         # worst-case smooth-playback bound, taken at the conservative
         # lowest rung for both the current chunk and the startup chunks
-        b0 = self.config.b0_startup_chunks
         cur = window[0].ladder.lowest
         nxt = window[1].ladder.lowest if len(window) > 1 else cur
         self._ctx.c_min = min_smooth_throughput(cur, [nxt] * b0, b0)
@@ -245,7 +240,6 @@ class _Simulation:
             t0 = view.spec.chunk_duration_s
             offset = (self.wall_clock_s - self.chunk_begin_s) / t0
         ctx.lead = buffered - offset
-        ctx.rebuffer_flag = self.total_rebuffer > self.rebuffer_marker
         return ctx
 
     def _validate_download(self, vi, rate):
@@ -258,8 +252,9 @@ class _Simulation:
         view = self.views[vi]
         if view.downloaded >= view.chunk_count:
             raise SimulationError(f"strategy targeted completed video {vi}")
+        # the chunk-size table doubles as the ladder check
         try:
-            return self._chunk_kbit[vi][rate]
+            return view.spec.chunk_kbit_by_rate[rate]
         except (KeyError, TypeError):
             raise SimulationError(
                 f"strategy picked off-ladder bitrate {rate}") from None
@@ -278,6 +273,8 @@ class _Simulation:
             return
         self.stalls[self.current_index][chunk - 1] += dt
         self.total_rebuffer += dt
+        # run clears it once a decision has seen it
+        self._ctx.rebuffer_flag = True
 
     def _advance(self, until: float):
         """Run playback forward to ``until`` against the frozen buffers."""
@@ -288,7 +285,7 @@ class _Simulation:
             view = views[self.current_index]
             n = view.downloaded
             if not self.playback_started:
-                if n >= min(self.config.b0_startup_chunks, view.chunk_count):
+                if n >= self._startup_chunks:
                     self.playback_started = True
                     self.play_chunk = 1
                     self.chunk_begin_s = self.wall_clock_s
@@ -323,7 +320,6 @@ class _Simulation:
         self.current_index += 1
         if self.current_index >= self.n_videos:
             self.done = True
-            self.end_t = self.wall_clock_s
             if timeline is not None:
                 timeline.append(("end", self.wall_clock_s))
             return
@@ -366,9 +362,10 @@ class _Simulation:
         advance = self._advance
         finish_time = download_finish_time
         t_sleep = self.config.t_sleep_s
+        ctx = self._ctx
         while not self.done:
             action = decide(build_ctx())
-            self.rebuffer_marker = self.total_rebuffer
+            ctx.rebuffer_flag = False
             now = self.wall_clock_s
             if isinstance(action, Download):
                 vi = action.video_index
@@ -379,7 +376,7 @@ class _Simulation:
                     raise StarvationError(vi, views[vi].downloaded + 1, now)
                 if timeline is not None:
                     n = views[vi].downloaded
-                    buffered = (self._ctx.buffered if vi == self.current_index
+                    buffered = (ctx.buffered if vi == self.current_index
                                 else n)
                     timeline.append(("dl_start", now, vi, n + 1, rate,
                                      buffered, action.threshold))
@@ -401,7 +398,7 @@ class _Simulation:
                 nxt = self.chunk_begin_s + view.spec.chunk_duration_s
                 if nxt < wake:
                     wake = nxt
-            elif n < min(self.config.b0_startup_chunks, view.chunk_count):
+            elif n < self._startup_chunks:
                 raise self._idle_error(n + 1)
             if timeline is not None:
                 timeline.append(("sleep", now, wake))
@@ -439,7 +436,7 @@ class _Simulation:
             cost_mbit_total=sum(costs),
             waste_mbit_total=sum(v.waste_mbit for v in videos),
             utility=metrics.utility(qoes, costs, cfg.w4),
-            wall_time_s=self.end_t,
+            wall_time_s=self.wall_clock_s,
             rebuffer_total_s=self.total_rebuffer,
             timeline=tuple(self.timeline) if self.timeline is not None else None)
 

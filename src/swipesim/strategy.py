@@ -13,14 +13,18 @@ chunk.
 
 Buffer depth targets of the adaptive (dtaap) strategy, per video length K
 and behavior thresholds k_min / k_early / k_long (while the channel cannot
-sustain the lowest rung the current video is instead fed without a depth
-cap and preloading drops to startup insurance):
+sustain the lowest rung they are instead a playhead cushion of
+min(STARVED_PLAYHEAD_CUSHION, K) and startup insurance of min(b0, K), after
+which the window is filled in order):
 
   current video, compared against chunks buffered ahead of the playhead
   (StrategyContext.buffered), driven by the predicted throughput c:
       c >= c_min:            1 + ceil(k_long / K)
       r_last < c <= c_min:   2 + ceil(k_long / K) - ceil(k_early / K)
       c <= r_last:           3 + ceil(k_long / K) - ceil(k_early / K)
+
+  Every k that derive_thresholds returns lies in 1..K, so both ceilings
+  are 1 and this target is 2, 2 or 3: it never reads the retention model.
 
   recommended videos, compared against total chunks downloaded
   (PlayerView.downloaded), driven by the windowed average throughput c:
@@ -76,20 +80,29 @@ STARVED_PLAYHEAD_CUSHION = 3
 IMMINENT_HAZARD = 0.5
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, init=False)
 class Download:
     """Fetch the next chunk of the window player ``video_index`` at
     ``bitrate_kbps``; threshold records the depth test that issued it."""
 
+    # declared here, not by ``slots=True``: that option rebuilds the class,
+    # and the frozen ``__setattr__`` would check the discarded one, so an
+    # unknown name would raise TypeError instead of FrozenInstanceError
+    __slots__ = ("video_index", "bitrate_kbps", "threshold")
+
     video_index: int
     bitrate_kbps: int
-    threshold: Optional[float] = None
+    threshold: Optional[float]
 
     def __init__(self, video_index: int, bitrate_kbps: int,
                  threshold: Optional[float] = None):
         _set_video_index(self, video_index)
         _set_bitrate_kbps(self, bitrate_kbps)
         _set_threshold(self, threshold)
+
+    def __reduce__(self):
+        # by value: restoring slot state would hit the frozen __setattr__
+        return Download, (self.video_index, self.bitrate_kbps, self.threshold)
 
 
 # one Download per simulated download: a field slot's own ``__set__`` stores
@@ -100,9 +113,11 @@ _set_video_index, _set_bitrate_kbps, _set_threshold = (
     getattr(Download, f.name).__set__ for f in fields(Download))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Sleep:
     """Idle for the session's sleep interval."""
+
+    __slots__ = ()
 
 
 Action = Union[Download, Sleep]
@@ -284,8 +299,8 @@ def dtaap_bitrate(ctx: StrategyContext, player_index: int = 0) -> int:
 def _starved(ctx: StrategyContext) -> bool:
     """True while the channel cannot sustain even the lowest rung, with a
     noise margin. In that regime depth thresholds are pointless: playback
-    is download-limited, so the window is simply filled in order and no
-    channel time is left idle."""
+    is download-limited, so past a playhead cushion and startup insurance
+    the window is simply filled in order and no channel time is left idle."""
     floor = STARVED_EXIT_MARGIN * ctx.players[0].ladder.lowest
     return not (ctx.c_pred > floor and ctx.c_ave > floor)
 
@@ -293,48 +308,34 @@ def _starved(ctx: StrategyContext) -> bool:
 def dtaap_decide(ctx: StrategyContext) -> Action:
     if ctx.c_ave is None:
         return _warmup_action(ctx)
-    if _starved(ctx):
-        # playhead cushion first, then startup insurance for every window
-        # player, then bank the window in order; never leave channel idle
-        cur = ctx.players[0]
-        b0 = ctx.config.b0_startup_chunks
-        cushion = min(STARVED_PLAYHEAD_CUSHION, cur.chunk_count)
-        if not cur.complete:
-            if ctx.buffered < cushion:
-                return Download(cur.video_index, dtaap_bitrate(ctx, 0),
-                                threshold=cushion)
-            if cur.downloaded < b0:
-                return Download(cur.video_index, dtaap_bitrate(ctx, 0),
-                                threshold=b0)
-        for j in range(1, len(ctx.players)):
-            p = ctx.players[j]
-            need = min(b0, p.chunk_count)
-            if p.downloaded < need:
-                return Download(p.video_index, dtaap_bitrate(ctx, j),
-                                threshold=need)
-        for j, p in enumerate(ctx.players):
-            if not p.complete:
-                return Download(p.video_index, dtaap_bitrate(ctx, j),
-                                 threshold=p.chunk_count)
-        return Sleep()
-    cur = ctx.players[0]
+    starved = _starved(ctx)
+    players = ctx.players
+    b0 = ctx.config.b0_startup_chunks
+    cur = players[0]
     if not cur.complete:
-        b_th = buffer_threshold_current(ctx)
+        b_th = (min(STARVED_PLAYHEAD_CUSHION, cur.chunk_count) if starved
+                else buffer_threshold_current(ctx))
         if ctx.buffered < b_th:
             return Download(cur.video_index, dtaap_bitrate(ctx, 0),
                             threshold=b_th)
-        b0 = ctx.config.b0_startup_chunks
         if cur.downloaded < b0:
             return Download(cur.video_index, dtaap_bitrate(ctx, 0),
                             threshold=b0)
-    for j in range(1, len(ctx.players)):
-        p = ctx.players[j]
+    for j in range(1, len(players)):
+        p = players[j]
         if p.complete:
             continue
-        b_th = buffer_threshold_next(ctx, j)
+        b_th = (min(b0, p.chunk_count) if starved
+                else buffer_threshold_next(ctx, j))
         if p.downloaded < b_th:
             return Download(p.video_index, dtaap_bitrate(ctx, j),
                             threshold=b_th)
+    if starved:
+        # bank the window in order; never leave the channel idle
+        for j, p in enumerate(players):
+            if not p.complete:
+                return Download(p.video_index, dtaap_bitrate(ctx, j),
+                                threshold=p.chunk_count)
     return Sleep()
 
 

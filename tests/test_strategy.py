@@ -1,15 +1,18 @@
+import copy
 import dataclasses
+import pickle
 import random
 import zlib
 
 import pytest
-from helpers import make_ctx, make_view
+from helpers import LADDER3, make_ctx, make_view
 
 from swipesim.core import SessionConfig
 from swipesim.retention import build_model, swipe_cdf
 from swipesim.strategy import (
     Download,
     Sleep,
+    _starved,
     buffer_threshold_current,
     buffer_threshold_next,
     dtaap_bitrate,
@@ -117,6 +120,30 @@ class TestDtaapDecide:
         assert action.video_index == 0
         assert ctx.players[0].downloaded + 1 == 1
         assert action.bitrate_kbps == 750
+
+    def test_starved_priority_order(self):
+        # both estimates below STARVED_EXIT_MARGIN * 750: playhead cushion,
+        # then the current video's startup chunks, then min(b0, K) of each
+        # recommended player, then the whole window in order, then sleep
+        players = [make_view(0, downloaded=2), make_view(1, downloaded=4),
+                   make_view(2, chunk_count=2), make_view(3, downloaded=1),
+                   make_view(4, downloaded=4)]
+        ctx = make_ctx(players=players, c_pred=1000.0, c_ave=1000.0,
+                       config=SessionConfig(b0_startup_chunks=4))
+        assert _starved(ctx)
+        issued = []
+        while isinstance(action := dtaap_decide(ctx), Download):
+            assert action.bitrate_kbps in LADDER3
+            issued.append((action.video_index, action.threshold))
+            players[action.video_index].downloaded += 1
+            if action.video_index == 0:
+                ctx.buffered += 1
+                ctx.lead += 1.0
+        assert action == Sleep()
+        assert all(p.complete for p in players)
+        assert issued == ([(0, 3), (0, 4), (2, 2), (2, 2)] + [(3, 4)] * 3
+                          + [(0, 10)] * 6 + [(1, 10)] * 6 + [(3, 10)] * 6
+                          + [(4, 10)] * 6)
 
 
 class TestDtaapBitrate:
@@ -398,6 +425,21 @@ class TestActions:
         for action in (d, Sleep()):
             assert not hasattr(action, "__dict__")
 
+    def test_unknown_names_are_frozen(self):
+        # a name that is no field, such as the removed Sleep.duration_s
+        for action, name in ((Sleep(), "duration_s"), (Sleep(), "bogus"),
+                             (Download(0, 750), "bogus")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(action, name, 1)
+
+    def test_copy_and_pickle_by_value(self):
+        for action in (Download(2, 1200, 2.0), Download(0, 750), Sleep()):
+            twins = [copy.copy(action), copy.deepcopy(action)]
+            twins += [pickle.loads(pickle.dumps(action, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in twins:
+                assert twin == action and type(twin) is type(action)
+
     def test_equal_and_hashable(self):
         a = Download(2, 1200, threshold=2.0)
         b = Download(2, 1200, 2.0)
@@ -492,7 +534,6 @@ def test_sleep_only_when_thresholds_met(name):
         if not isinstance(action, Sleep):
             continue
         if name == "dtaap":
-            from swipesim.strategy import _starved
             if _starved(ctx):
                 # thresholds lifted: sleeping means everything is complete
                 assert all(p.complete for p in ctx.players)

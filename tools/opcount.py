@@ -9,8 +9,9 @@ of `swipesim compare --seed 11` and the first five `medium` and five
 `mixed` traces that `compare --seed 11` generates. Every session runs once
 untraced first, so the per-video caches are warm, and then once under a
 `sys.settrace` hook with opcode events on. The script prints the total
-opcode count, the count per source module and the summed session utility,
-which shows that a change left the output alone.
+opcode count, the count per source module, each strategy's total over its
+ten sessions and the summed session utility, which shows that a change
+left the output alone.
 
 A bytecode count does not depend on the host's speed, so it can show that
 a change removed work where paired timings are too noisy to. A call into
@@ -48,9 +49,9 @@ def main(argv=None) -> int:
 
     opts = cli.build_parser().parse_args(
         ["compare", "--seed", str(SEED), "--out", "unused"])
-    behavior = cli._build_behavior(opts)
-    models = cli._resolve_models(opts, behavior)
-    script = cli._build_scripts(opts, behavior, 1)[0]
+    grouped = cli._behavior_by_category(opts)
+    models = cli._resolve_models(opts, grouped)
+    script = cli._build_scripts(opts, grouped, 1)[0]
     traces = cli._build_traces(opts, list(SCENARIOS), TRACES_PER_SCENARIO,
                                opts.duration)
     config = SessionConfig()
@@ -68,12 +69,15 @@ def main(argv=None) -> int:
         return tracer
 
     utility = 0.0
+    per_strategy: Counter = Counter()
     for strategy, trace in sessions:
+        before = sum(ops.values())
         sys.settrace(tracer)
         try:
             res = run_session(script, trace, strategy, config, models)
         finally:
             sys.settrace(None)
+        per_strategy[strategy.name] += sum(ops.values()) - before
         utility += res.utility
 
     per_module: Counter = Counter()
@@ -83,6 +87,9 @@ def main(argv=None) -> int:
     print(f"opcodes {sum(per_module.values())}")
     for name, n in per_module.most_common():
         print(f"  {name} {n}")
+    print(f"strategy_opcodes {len(traces)} sessions each")
+    for name in STRATEGY_NAMES:
+        print(f"  {name} {per_strategy[name]}")
     print(f"utility_sum {utility!r}")
     return 0
 

@@ -96,7 +96,7 @@ class VideoSpec:
         return {r: chunk_kbit(r, t0) for r in self.ladder.levels}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ChunkRef:
     """A single downloadable chunk: video position, chunk number, bitrate.
 
@@ -105,9 +105,19 @@ class ChunkRef:
     player and a rung, and the engine fetches that player's next chunk.
     """
 
+    # declared here, not by ``slots=True``: that option rebuilds the class,
+    # and the frozen ``__setattr__`` would check the discarded one, so an
+    # unknown name would raise TypeError instead of FrozenInstanceError
+    __slots__ = ("video_index", "chunk_index", "bitrate_kbps")
+
     video_index: int
     chunk_index: int
     bitrate_kbps: int
+
+    def __reduce__(self):
+        # by value: restoring slot state would hit the frozen __setattr__
+        return ChunkRef, (self.video_index, self.chunk_index,
+                          self.bitrate_kbps)
 
     @classmethod
     def create(cls, video_index: int, chunk_index: int, bitrate_kbps: int,

@@ -155,6 +155,21 @@ def _video_profile(model: RetentionModel, chunk_count: int,
     return thresholds, cdf
 
 
+# The finish times of one trace's downloads, shared by the sessions that run
+# on it back to back: ``(trace, {key: finish})``. A finish time is a pure
+# function of (trace, start, size), and the sessions of one (script, trace)
+# pair under different strategies repeat long download chains. A session on
+# another trace object (by identity; the pair holds it strongly) replaces
+# the pair, so the memo covers one trace at a time. run_batch runs trace by
+# trace, then script by script, then strategy by strategy, so each trace's
+# sessions share one memo; its rows still keep input order. A miss calls the
+# module's ``download_finish_time``. The key is
+# ``(start, size, start.__class__, size.__class__)``: a float and a
+# ``Fraction`` of equal value hash alike, yet the channel answers them
+# differently (rounded vs exact). ``math.inf`` is stored like any finish.
+_finish_memo: tuple = (None, {})
+
+
 def _model_for(model, category: str) -> RetentionModel:
     if isinstance(model, RetentionModel):
         return model
@@ -354,8 +369,13 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SessionResult:
+        global _finish_memo
         views = self.views
         trace = self.trace
+        memo_trace, memo = _finish_memo
+        if memo_trace is not trace:
+            memo = {}
+            _finish_memo = (trace, memo)
         timeline = self.timeline
         decide = self.strategy.decide
         build_ctx = self._build_ctx
@@ -371,7 +391,10 @@ class _Simulation:
                 vi = action.video_index
                 rate = action.bitrate_kbps
                 size = self._validate_download(vi, rate)
-                finish = finish_time(trace, now, size)
+                key = (now, size, now.__class__, size.__class__)
+                finish = memo.get(key)
+                if finish is None:
+                    finish = memo[key] = finish_time(trace, now, size)
                 if math.isinf(finish):
                     raise StarvationError(vi, views[vi].downloaded + 1, now)
                 if timeline is not None:
@@ -553,18 +576,24 @@ def run_batch(scripts: Sequence[SessionScript], traces: Sequence[TraceRef],
               seed: int = 0) -> BatchReport:
     """Run every strategy over the scripts x traces matrix.
 
+    Sessions run trace by trace: for each trace, each script, each
+    strategy, so a trace's sessions run back to back and share the
+    engine's memo of its finish times (see ``_finish_memo``). Rows keep
+    input order all the same: strategy, then script, then trace, as the
+    row index ``(k * n_scripts + si) * n_traces + ti`` places them.
+
     Starved sessions become flagged rows with empty metrics rather than
     failing the batch. Output order is fixed by input order, so repeated
     runs are byte-identical.
     """
     if not scripts or not traces or not strategies:
         raise ValueError("scripts, traces, and strategies must be non-empty")
-    rows = []
-    # (strategy, scenario) -> that cell's rows, in row order
-    cells: dict[tuple[str, str], list[SessionRow]] = {}
-    for strat in strategies:
-        for script in scripts:
-            for tr in traces:
+    n_scripts = len(scripts)
+    n_traces = len(traces)
+    rows: list = [None] * (len(strategies) * n_scripts * n_traces)
+    for ti, tr in enumerate(traces):
+        for si, script in enumerate(scripts):
+            for k, strat in enumerate(strategies):
                 try:
                     res = run_session(script, tr.trace, strat, config, model)
                     outcome = ("ok", res.qoe_total, res.cost_mbit_total,
@@ -572,10 +601,13 @@ def run_batch(scripts: Sequence[SessionScript], traces: Sequence[TraceRef],
                                res.rebuffer_total_s)
                 except StarvationError:
                     outcome = ("starved",) + (None,) * 5
-                row = SessionRow(strat.name, tr.scenario, script.script_id,
-                                 tr.trace_id, *outcome)
-                rows.append(row)
-                cells.setdefault((row.strategy, row.scenario), []).append(row)
+                rows[(k * n_scripts + si) * n_traces + ti] = SessionRow(
+                    strat.name, tr.scenario, script.script_id, tr.trace_id,
+                    *outcome)
+    # (strategy, scenario) -> that cell's rows, in row order
+    cells: dict[tuple[str, str], list[SessionRow]] = {}
+    for row in rows:
+        cells.setdefault((row.strategy, row.scenario), []).append(row)
     scenario_order = dict.fromkeys(tr.scenario for tr in traces)
     aggregates = []
     for strat in strategies:

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 
@@ -76,6 +79,22 @@ class TestChunkRef:
     def test_rejects_negative_video(self):
         with pytest.raises(ValueError):
             ChunkRef.create(-1, 1, 750, make_video())
+
+    def test_frozen_and_slotted(self):
+        ref = ChunkRef(0, 1, 750)
+        # a field and a name that is no field alike
+        for name in ("chunk_index", "bogus"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ref, name, 2)
+        assert not hasattr(ref, "__dict__")
+
+    def test_copy_and_pickle_by_value(self):
+        ref = ChunkRef(3, 2, 1200)
+        twins = [copy.copy(ref), copy.deepcopy(ref)]
+        twins += [pickle.loads(pickle.dumps(ref, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert twin == ref and type(twin) is ChunkRef
 
 
 class TestPlayerBuffer:

@@ -5,11 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from _oracle import brute_force_session, canonical
 
+from swipesim import engine
 from swipesim.cli import default_behavior, default_catalog
 from swipesim.core import BitrateLadder, SessionConfig, VideoSpec, chunk_kbit
 from swipesim.engine import (
@@ -31,7 +34,12 @@ from swipesim.strategy import (
     Strategy,
     make_strategy,
 )
-from swipesim.trace_io import BehaviorTrace, ThroughputTrace, generate_scenario
+from swipesim.trace_io import (
+    BehaviorTrace,
+    ThroughputTrace,
+    download_finish_time,
+    generate_scenario,
+)
 
 LADDER1 = BitrateLadder((750,))
 LADDER2 = BitrateLadder((750, 1850))
@@ -406,6 +414,197 @@ class TestRunBatch:
             agg.mean_utility, agg.mean_rebuffer_s, agg.p50_utility,
             agg.p90_utility))
         assert report.aggregates_csv().splitlines()[1] == "dtaap,low,1,1,,,,,,,"
+
+
+    def test_rows_keep_strategy_major_order(self):
+        # 2 strategies x 2 scripts x 2 traces, against a plain loop in row
+        # order, one session at a time
+        scripts = [SessionScript("s0", videos_of(3, 5), (2, 5, 1)),
+                   SessionScript("s1", videos_of(2, 4), (4, 1))]
+        traces = [TraceRef("t0", "high", generate_scenario("high", 0, 120)),
+                  TraceRef("t1", "low", generate_scenario("low", 1, 120))]
+        strategies = [make_strategy("dtaap"), make_strategy("pdas_lite")]
+        rows = [_session_row(s, sc, tr)
+                for s in strategies for sc in scripts for tr in traces]
+        header = ("strategy,scenario,script_id,trace_id,qoe,cost_mbit,"
+                  "waste_mbit,utility,rebuffer_s")
+        expected_sessions = "\n".join(
+            [header] + [",".join(format(v, ".9g") if isinstance(v, float)
+                                 else v for v in row) for row in rows]) + "\n"
+        expected_aggregates = [
+            "strategy,scenario,sessions,starved,mean_qoe,mean_cost_mbit,"
+            "mean_waste_mbit,mean_utility,mean_rebuffer_s,p50_utility,"
+            "p90_utility"]
+        for s in strategies:
+            for scenario in ("high", "low"):
+                cell = [r for r in rows if r[:2] == (s.name, scenario)]
+                means = [sum(r[i] for r in cell) / len(cell)
+                         for i in (4, 5, 6, 7, 8)]
+                # two sessions: p50 is the lower utility, p90 the higher
+                utils = sorted(r[7] for r in cell)
+                expected_aggregates.append(",".join(
+                    [s.name, scenario, "2", "0"]
+                    + [format(v, ".9g") for v in means + utils]))
+        report = run_batch(scripts, traces, strategies, CFG, MODEL)
+        assert report.sessions_csv() == expected_sessions
+        assert report.aggregates_csv() == "\n".join(expected_aggregates) + "\n"
+
+
+def _session_row(strategy, script, tr):
+    res = run_session(script, tr.trace, strategy, CFG, MODEL)
+    return (strategy.name, tr.scenario, script.script_id, tr.trace_id,
+            res.qoe_total, res.cost_mbit_total, res.waste_mbit_total,
+            res.utility, res.rebuffer_total_s)
+
+
+def _fresh(trace):
+    """An equal-valued trace object that no session has run on, with the
+    engine's finish memo emptied, so a session on it computes every finish
+    itself (a session never repeats a start time of its own)."""
+    engine._finish_memo = (None, {})
+    return ThroughputTrace(trace.samples)
+
+
+def _run(script, trace, strategy, record_timeline=False):
+    """``repr`` of a session's result, or ``"starved"``: the repr tells a
+    float from a ``Fraction`` of equal value, which ``==`` does not."""
+    try:
+        return repr(run_session(script, trace, strategy, CFG, MODEL,
+                                record_timeline))
+    except StarvationError:
+        return "starved"
+
+
+def _row_fields(script, trace, strategy):
+    """``repr`` of the metrics a batch row takes from a session, or
+    ``"starved"``."""
+    try:
+        res = run_session(script, trace, strategy, CFG, MODEL)
+    except StarvationError:
+        return "starved"
+    return repr((res.qoe_total, res.cost_mbit_total, res.waste_mbit_total,
+                 res.utility, res.rebuffer_total_s))
+
+
+def _row_repr(row):
+    if row.status == "starved":
+        return "starved"
+    return repr((row.qoe, row.cost_mbit, row.waste_mbit, row.utility,
+                 row.rebuffer_s))
+
+
+class TestFinishMemo:
+    """The sessions of one trace share the engine's memo of finish times;
+    every result equals a fresh session's on a fresh, equal-valued trace
+    (``_fresh``)."""
+
+    SCRIPTS = (
+        SessionScript("a", videos_of(4, 5, LADDER1), (2, 5, 1, 3)),
+        SessionScript("b", videos_of(4, 5, LADDER1), (1, 1, 1, 1)),
+        SessionScript("c", videos_of(3, 6), (6, 2, 4)),
+        SessionScript("d", videos_of(5, 4), (4, 4, 4, 4, 4)),
+    )
+    TRACES = {
+        "per-second": generate_scenario("mixed", 3, 300),
+        # bandwidth drops to zero twice and for good after 8 s
+        "starving": ThroughputTrace(((0.0, 1500.0), (3.0, 0.0), (5.0, 900.0),
+                                     (8.0, 0.0))),
+        # the first download waits out a dead segment: the clock turns
+        # into a Fraction
+        "fraction": ThroughputTrace(((Fraction(0), Fraction(0)),
+                                     (Fraction(1, 2), Fraction(1500)),
+                                     (Fraction(7, 2), Fraction(0)),
+                                     (Fraction(4), Fraction(2000)),
+                                     (Fraction(9), Fraction(600)))),
+    }
+
+    @pytest.mark.parametrize("kind", list(TRACES))
+    def test_batch_and_timeline_equal_fresh_sessions(self, kind):
+        trace = self.TRACES[kind]
+        strategies = [make_strategy(n) for n in STRATEGY_NAMES]
+        report = run_batch(self.SCRIPTS, [TraceRef("t", "custom", trace)],
+                           strategies, CFG, MODEL)
+        # the memo still holds this trace's finish times
+        script, strategy = self.SCRIPTS[0], make_strategy("network")
+        timeline = _run(script, trace, strategy, record_timeline=True)
+        assert timeline == _run(script, _fresh(trace), strategy,
+                                record_timeline=True)
+        rows = iter(report.rows)
+        statuses = set()
+        for strategy in strategies:
+            for script in self.SCRIPTS:
+                row = next(rows)
+                assert _row_repr(row) == _row_fields(
+                    script, _fresh(trace), strategy), (strategy.name, script)
+                statuses.add(row.status)
+        if kind == "starving":
+            # a memoised inf still starves the session that meets it
+            assert statuses == {"ok", "starved"}
+
+    def test_memo_computes_each_finish_once(self, monkeypatch):
+        calls = []
+
+        def counted(trace, start_s, size_kbit):
+            calls.append((start_s, size_kbit))
+            return download_finish_time(trace, start_s, size_kbit)
+        monkeypatch.setattr(engine, "download_finish_time", counted)
+        trace = _fresh(self.TRACES["per-second"])
+        strategies = [make_strategy(n) for n in STRATEGY_NAMES]
+        run_batch(self.SCRIPTS, [TraceRef("t", "custom", trace)], strategies,
+                  CFG, MODEL)
+        batch_calls = list(calls)
+        calls.clear()
+        for strategy in strategies:
+            for script in self.SCRIPTS:
+                run_session(script, _fresh(trace), strategy, CFG, MODEL)
+        # the batch computes each distinct (start, size) once; fresh traces
+        # compute every download
+        assert len(batch_calls) == len(set(batch_calls)) < len(calls)
+
+    def test_switching_traces_replaces_the_memo(self):
+        a = self.TRACES["per-second"]
+        b = generate_scenario("low", 4, 300)
+        script = self.SCRIPTS[2]
+        # every strategy on A, then on B, then on A again, in a row
+        runs = [(trace, name, _run(script, trace, make_strategy(name), True))
+                for trace in (a, b, a) for name in STRATEGY_NAMES]
+        for trace, name, result in runs:
+            assert result == _run(script, _fresh(trace), make_strategy(name),
+                                  True), name
+
+    def test_threads_switching_traces(self):
+        # sessions on two traces from more threads than cores, switching
+        # often: each session keeps the memo it started with. On these two
+        # traces many (start, size) keys occur on both.
+        traces = (const_trace(1000), const_trace(1500))
+        jobs = [(script, trace, name) for script in self.SCRIPTS
+                for trace in traces for name in STRATEGY_NAMES]
+        expected = [_run(script, _fresh(trace), make_strategy(name))
+                    for script, trace, name in jobs]
+        results = []
+
+        def work(n):
+            # two threads per quarter of the jobs, three rounds each
+            for _ in range(3):
+                for i in range(n % 4, len(jobs), 4):
+                    script, trace, name = jobs[i]
+                    results.append(
+                        (i, _run(script, trace, make_strategy(name))))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 6 * len(jobs)
+        for i, result in results:
+            assert result == expected[i], jobs[i]
 
 
 class TestScripts:

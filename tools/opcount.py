@@ -13,6 +13,12 @@ opcode count, the count per source module, each strategy's total over its
 ten sessions and the summed session utility, which shows that a change
 left the output alone.
 
+The slice runs strategy by strategy over the ten traces, so the trace
+changes with every session. The engine's memo of finish times covers one
+trace at a time (`run_batch` runs each trace's sessions back to back), so
+here every session starts it anew: the count includes the memo's cost and
+never its savings.
+
 A bytecode count does not depend on the host's speed, so it can show that
 a change removed work where paired timings are too noisy to. A call into
 C counts as one opcode, so a count is read next to timings, never instead

@@ -227,14 +227,20 @@ def _build_scripts(args, grouped, n_scripts: int) -> list[SessionScript]:
     return scripts
 
 
-def _behavior_by_category(args) -> dict[str, list[BehaviorTrace]]:
-    """The behavior population, grouped by category in first-seen order."""
-    traces = (_read_input("behavior", args.behavior, parse_behavior_traces)
-              if args.behavior else default_behavior(args.seed))
+def _group_by_category(traces) -> dict[str, list[BehaviorTrace]]:
+    """Behavior traces grouped by category in first-seen order, each group
+    in file order."""
     grouped: dict[str, list[BehaviorTrace]] = {}
     for tr in traces:
         grouped.setdefault(tr.category, []).append(tr)
     return grouped
+
+
+def _behavior_by_category(args) -> dict[str, list[BehaviorTrace]]:
+    """The behavior population, grouped by category in first-seen order."""
+    return _group_by_category(
+        _read_input("behavior", args.behavior, parse_behavior_traces)
+        if args.behavior else default_behavior(args.seed))
 
 
 def _load_trace_dir(path) -> list[TraceRef]:
@@ -298,12 +304,12 @@ def _write_json(path: Path, data: dict):
 
 
 def cmd_model_build(args) -> int:
-    traces = _read_input("behavior", args.behavior_csv, parse_behavior_traces)
+    grouped = _group_by_category(
+        _read_input("behavior", args.behavior_csv, parse_behavior_traces))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    categories = sorted({tr.category for tr in traces})
-    for cat in categories:
-        model = build_model(traces, cat)
+    for cat in sorted(grouped):
+        model = build_model(grouped[cat], cat)
         path = out_dir / f"retention_{cat}.json"
         path.write_text(model_to_json(model) + "\n")
         print(path)

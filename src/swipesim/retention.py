@@ -77,20 +77,32 @@ def _bin_edge(k: int, total_chunks: int) -> int:
 
 
 def build_model(traces: Iterable, category: str) -> RetentionModel:
-    """Build the swipe-mass model for one category from behavior traces."""
+    """Build the swipe-mass model for one category from behavior traces.
+
+    Traces with the same ``(swipe_chunk, total_chunks)`` cover the same
+    bins with the same share, so each distinct pair's span is computed once.
+    The shares are still added trace by trace, in order, so every bin sums
+    the same floats in the same order.
+    """
     picked = [tr for tr in traces if tr.category == category]
     if not picked:
         raise ValueError(f"no behavior traces for category {category!r}")
     x = len(picked)
     mass = [0.0] * BIN_COUNT
+    spans = {}
     for tr in picked:
-        lo = _bin_edge(tr.swipe_chunk - 1, tr.total_chunks) + 1
-        hi = _bin_edge(tr.swipe_chunk, tr.total_chunks)
-        if hi < lo:
-            # more chunks than bins: the chunk sits inside one bin
-            lo = hi
-        share = 1.0 / (x * (hi - lo + 1))
-        for j in range(lo - 1, hi):
+        key = (tr.swipe_chunk, tr.total_chunks)
+        span = spans.get(key)
+        if span is None:
+            k, total = key
+            lo = _bin_edge(k - 1, total) + 1
+            hi = _bin_edge(k, total)
+            if hi < lo:
+                # more chunks than bins: the chunk sits inside one bin
+                lo = hi
+            span = spans[key] = (range(lo - 1, hi), 1.0 / (x * (hi - lo + 1)))
+        bins, share = span
+        for j in bins:
             mass[j] += share
     return RetentionModel(category=category, mass=tuple(mass), trace_count=x)
 

@@ -9,16 +9,21 @@ timestamp until the next; the final sample extends forever. A
 and the bandwidths, and the parser converts a file's whole body in one
 pass; it walks the file line by line only to name the line of an error.
 
-Behavior CSV: header ``trace_id,category,total_chunks,swipe_chunk``.
+Behavior CSV: header ``trace_id,category,total_chunks,swipe_chunk``
+(header optional on input), one viewing per row; fields are stripped of
+whitespace, the two counts are integers with 1 <= swipe_chunk <=
+total_chunks. The parser converts the body in bulk, a block of lines at a
+time, and walks a rejected file line by line only to name its first bad
+line.
 """
 from __future__ import annotations
 
 import math
 import random
 from bisect import bisect_right
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from itertools import islice, repeat
-from operator import contains as _contains, le as _le, lt as _lt
+from operator import contains as _contains, itemgetter, le as _le, lt as _lt
 from typing import Iterable
 
 THROUGHPUT_HEADER = "timestamp_s,bandwidth_kbps"
@@ -200,28 +205,71 @@ def serialize_throughput_trace(trace: ThroughputTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BehaviorTrace:
-    """One observed viewing: the chunk at which the user swiped away."""
+class BehaviorTrace(tuple):
+    """One observed viewing: the chunk at which the user swiped away.
 
-    trace_id: str
-    category: str
-    total_chunks: int
-    swipe_chunk: int
+    A tuple of its four fields, so it equals the plain tuple of them and
+    assigning to it raises ``AttributeError``. The constructor checks the
+    chunk counts; :func:`parse_behavior_traces` checks a whole block of
+    rows in bulk and then builds each with ``tuple.__new__``.
+    """
 
-    def __post_init__(self):
-        if self.total_chunks < 1:
-            raise ValueError(f"trace {self.trace_id}: total_chunks must be >= 1")
-        if not 1 <= self.swipe_chunk <= self.total_chunks:
+    __slots__ = ()
+    __match_args__ = ("trace_id", "category", "total_chunks", "swipe_chunk")
+
+    def __new__(cls, trace_id: str, category: str, total_chunks: int,
+                swipe_chunk: int):
+        if total_chunks < 1:
+            raise ValueError(f"trace {trace_id}: total_chunks must be >= 1")
+        if not 1 <= swipe_chunk <= total_chunks:
             raise ValueError(
-                f"trace {self.trace_id}: swipe_chunk {self.swipe_chunk} out of "
-                f"range 1..{self.total_chunks}")
+                f"trace {trace_id}: swipe_chunk {swipe_chunk} out of "
+                f"range 1..{total_chunks}")
+        return tuple.__new__(cls, (trace_id, category, total_chunks, swipe_chunk))
+
+    trace_id = property(itemgetter(0))
+    category = property(itemgetter(1))
+    total_chunks = property(itemgetter(2))
+    swipe_chunk = property(itemgetter(3))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return ("{}(trace_id={!r}, category={!r}, total_chunks={!r}, "
+                "swipe_chunk={!r})").format(type(self).__name__, *self)
 
 
-def parse_behavior_traces(text: str) -> list[BehaviorTrace]:
-    """Parse a behavior CSV into one trace per row."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+# lines of a behavior CSV converted per bulk pass; the pass's field lists,
+# and so peak memory, grow with it
+_BEHAVIOR_BLOCK = 4096
+
+
+def _behavior_rows(lines, rows: list, categories: dict):
+    """Append the rows of ``lines``, a block of the body, to ``rows``: one
+    pass over the block per rule, and ``ValueError`` if any line breaks one.
+    Equal categories share the string ``categories`` maps them to."""
+    lines = list(filter(str.strip, lines))
+    if not lines:
+        return
+    # three commas a line, so four fields
+    if list(map(str.count, lines, repeat(","))).count(3) != len(lines):
+        raise ValueError
+    fields = list(map(str.strip, ",".join(lines).split(",")))
+    totals = list(map(int, fields[2::4]))
+    swipes = list(map(int, fields[3::4]))
+    # 1 <= swipe <= total, which implies total >= 1
+    if min(swipes) < 1 or not all(map(_le, swipes, totals)):
+        raise ValueError
+    cats = fields[1::4]
+    rows += map(tuple.__new__, repeat(BehaviorTrace), zip(
+        fields[0::4], map(categories.setdefault, cats, cats), totals, swipes))
+
+
+def _raise_behavior_line_error(lines):
+    """The per-line reading of the format, walked only to name the first
+    bad line of a rejected file."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -235,12 +283,34 @@ def parse_behavior_traces(text: str) -> list[BehaviorTrace]:
         except ValueError:
             raise TraceFormatError(f"line {lineno}: non-integer chunk count") from None
         try:
-            out.append(BehaviorTrace(parts[0], parts[1], total, swipe))
+            BehaviorTrace(parts[0], parts[1], total, swipe)
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from None
-    if not out:
+
+
+def parse_behavior_traces(text: str) -> list[BehaviorTrace]:
+    """Parse a behavior CSV (see module docstring) into one trace per row.
+
+    The body is converted in blocks of lines, each by bulk passes: its
+    lines are joined with commas, split, stripped, and the two count
+    columns mapped through ``int``. Only a rejected file is walked line by
+    line, for its message.
+    """
+    lines = text.splitlines()
+    start = 0
+    if lines and lines[0].strip().replace(" ", "") == BEHAVIOR_HEADER:
+        start = 1
+    rows: list[BehaviorTrace] = []
+    categories: dict[str, str] = {}
+    try:
+        for i in range(start, len(lines), _BEHAVIOR_BLOCK):
+            _behavior_rows(lines[i:i + _BEHAVIOR_BLOCK], rows, categories)
+    except ValueError:
+        _raise_behavior_line_error(lines)
+        raise  # unreachable: the walk rejects the same lines
+    if not rows:
         raise TraceFormatError("empty behavior trace file")
-    return out
+    return rows
 
 
 def serialize_behavior_traces(traces: Iterable[BehaviorTrace]) -> str:

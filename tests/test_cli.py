@@ -9,6 +9,7 @@ from swipesim.retention import build_model, model_from_dict, model_to_json
 from swipesim.trace_io import (
     generate_scenario,
     parse_throughput_trace,
+    serialize_behavior_traces,
     serialize_throughput_trace,
 )
 
@@ -29,6 +30,19 @@ class TestModelBuild:
         model = model_from_dict(
             json.loads((out / "retention_cat_a.json").read_text()))
         assert model.mass[40] == pytest.approx(0.05)
+
+    def test_default_population_files_are_pinned(self, tmp_path):
+        csv = tmp_path / "behavior.csv"
+        csv.write_text(serialize_behavior_traces(default_behavior(0)))
+        out = tmp_path / "models"
+        assert run_cli("model", "build", str(csv), "--out", str(out)) == 0
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.iterdir()} == {
+            "retention_drama.json":
+                "806b1fae61fc88f71dba29fd6991311e681a465b1dcfad81a3e2fda434a7d13f",
+            "retention_quick.json":
+                "740a685a1e6d8aeae435c555d6cd68972b1efc74c1718321286bbc2951485922",
+        }
 
     def test_empty_csv_is_input_error(self, tmp_path):
         csv = tmp_path / "behavior.csv"

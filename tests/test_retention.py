@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swipesim.retention import (
     RetentionModel,
@@ -59,6 +61,84 @@ class TestBuildModel:
     def test_empty_category_rejected(self):
         with pytest.raises(ValueError):
             build_model(traces_of([(5, 10)]), "missing")
+
+
+def _reference_bin_edge(k: int, total_chunks: int) -> int:
+    if k <= 0:
+        return 0
+    return -(-100 * k // total_chunks)
+
+
+def _reference_build_model(traces, category: str):
+    """The per-trace loop that the span cache replaced, kept as it was but
+    for returning the model's fields; returns (mass, trace_count)."""
+    picked = [tr for tr in traces if tr.category == category]
+    if not picked:
+        raise ValueError(f"no behavior traces for category {category!r}")
+    x = len(picked)
+    mass = [0.0] * 100
+    for tr in picked:
+        lo = _reference_bin_edge(tr.swipe_chunk - 1, tr.total_chunks) + 1
+        hi = _reference_bin_edge(tr.swipe_chunk, tr.total_chunks)
+        if hi < lo:
+            # more chunks than bins: the chunk sits inside one bin
+            lo = hi
+        share = 1.0 / (x * (hi - lo + 1))
+        for j in range(lo - 1, hi):
+            mass[j] += share
+    return tuple(mass), x
+
+
+def _assert_matches_reference(traces):
+    for category in {tr.category for tr in traces}:
+        model = build_model(traces, category)
+        mass, count = _reference_build_model(traces, category)
+        # bit for bit: float.hex tells 0.0 from -0.0 and every last digit
+        assert [m.hex() for m in model.mass] == [m.hex() for m in mass]
+        assert (model.category, model.trace_count) == (category, count)
+
+
+_TOTAL = st.one_of(st.just(1), st.integers(2, 30), st.integers(90, 110),
+                   st.integers(101, 400))
+
+
+@st.composite
+def _population(draw):
+    """Rows over up to four categories, in any order; K > 100 puts a chunk
+    inside one bin, K = 1 spreads one chunk over all of them."""
+    rows = []
+    for i in range(draw(st.integers(1, 60))):
+        total = draw(_TOTAL)
+        swipe = draw(st.one_of(st.integers(1, total), st.sampled_from([1, total])))
+        rows.append(BehaviorTrace(f"t{i}", draw(st.sampled_from("abcd")), total, swipe))
+    return rows
+
+
+class TestBuildMatchesReference:
+    """``build_model`` gives the per-trace loop's mass, bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(_population())
+    def test_random_populations(self, rows):
+        _assert_matches_reference(rows)
+
+    @pytest.mark.parametrize("pairs", [
+        [(1, 1)], [(1, 1)] * 3, [(150, 150), (1, 150), (77, 150), (77, 150)],
+        [(k, 101) for k in range(1, 102)] + [(k, 333) for k in range(333, 0, -7)],
+        [(1, 3), (2, 3), (3, 3), (1, 3), (2, 7), (1, 1)],
+    ], ids=["one-row", "k1", "k150", "k101-k333", "repeats"])
+    def test_edge_populations(self, pairs):
+        _assert_matches_reference(traces_of(pairs))
+
+    def test_mixed_categories_and_one_row_category(self):
+        rng = random.Random(23)
+        rows = []
+        for i in range(3000):
+            total = rng.choice((1, rng.randint(2, 90), rng.randint(101, 500)))
+            rows.append(BehaviorTrace(f"t{i}", rng.choice(("x", "y", "z")), total,
+                                      rng.randint(1, total)))
+        rows.insert(1234, BehaviorTrace("lone", "w", 9, 4))
+        _assert_matches_reference(rows)
 
 
 class TestSwipeProbability:

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swipesim.trace_io import (
+    BEHAVIOR_HEADER,
     SCENARIO_BANDS,
     THROUGHPUT_HEADER,
+    BehaviorTrace,
     ThroughputTrace,
     TraceFormatError,
     TraceSampleError,
@@ -106,6 +108,58 @@ class TestParseBehavior:
         text = "trace_id,category,total_chunks,swipe_chunk\nt1,cat_a,10,5\nt2,b,3,3\n"
         rows = parse_behavior_traces(text)
         assert serialize_behavior_traces(rows) == text
+
+
+class TestBehaviorTraceRow:
+    def test_a_tuple_of_its_fields(self):
+        row = BehaviorTrace("t1", "cat_a", 10, 5)
+        assert row == ("t1", "cat_a", 10, 5) and tuple(row) == ("t1", "cat_a", 10, 5)
+        assert hash(row) == hash(("t1", "cat_a", 10, 5))
+        assert (row.trace_id, row.category, row.total_chunks, row.swipe_chunk) == (
+            "t1", "cat_a", 10, 5)
+        assert BehaviorTrace(trace_id="t1", category="cat_a", total_chunks=10,
+                             swipe_chunk=5) == row
+        assert repr(row) == ("BehaviorTrace(trace_id='t1', category='cat_a', "
+                             "total_chunks=10, swipe_chunk=5)")
+        match row:
+            case BehaviorTrace(tid, cat, total, swipe):
+                assert (tid, cat, total, swipe) == tuple(row)
+
+    def test_assignment_raises_attribute_error(self):
+        row = BehaviorTrace("t1", "cat_a", 10, 5)
+        for name in ("trace_id", "category", "total_chunks", "swipe_chunk", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, 1)
+        with pytest.raises(AttributeError):
+            del row.swipe_chunk
+        assert not hasattr(row, "__dict__")
+
+    @pytest.mark.parametrize("fields, message", [
+        (("t", "c", 0, 0), "trace t: total_chunks must be >= 1"),
+        (("t", "c", -3, 1), "trace t: total_chunks must be >= 1"),
+        (("t", "c", 10, 11), "trace t: swipe_chunk 11 out of range 1..10"),
+        (("t", "c", 10, 0), "trace t: swipe_chunk 0 out of range 1..10"),
+    ])
+    def test_constructor_checks_the_counts(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            BehaviorTrace(*fields)
+        assert str(exc.value) == message
+
+    def test_copies_and_pickles_by_value(self):
+        row = BehaviorTrace("t1", "cat_a", 10, 5)
+        copies = [copy.copy(row), copy.deepcopy(row)]
+        copies += [pickle.loads(pickle.dumps(row, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies:
+            assert type(again) is BehaviorTrace and again == row
+            assert again.swipe_chunk == 5
+
+    def test_parsed_rows_share_each_category(self):
+        rows = parse_behavior_traces("\n".join(
+            f"t{i},cat_{i % 2}, {i + 1} ,1" for i in range(9000)))
+        assert all(type(row) is BehaviorTrace for row in rows)
+        assert rows[8999] == ("t8999", "cat_1", 9000, 1)
+        assert len({id(row.category) for row in rows}) == 2
 
 
 class TestGenerateScenario:
@@ -513,3 +567,145 @@ class TestParseMatchesReference:
             parse_throughput_trace(broken)
         assert str(exc.value) == message
         assert _outcome(_reference_parse, broken) == (TraceFormatError, message)
+
+
+def _reference_parse_behavior(text: str) -> list[BehaviorTrace]:
+    """The line-by-line parser that the bulk parser replaced, kept as it was."""
+    out = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.replace(" ", "") == BEHAVIOR_HEADER:
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 4:
+            raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        try:
+            total, swipe = int(parts[2]), int(parts[3])
+        except ValueError:
+            raise TraceFormatError(f"line {lineno}: non-integer chunk count") from None
+        try:
+            out.append(BehaviorTrace(parts[0], parts[1], total, swipe))
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from None
+    if not out:
+        raise TraceFormatError("empty behavior trace file")
+    return out
+
+
+def _behavior_outcome(parse, text):
+    """The rows ``parse`` reads from ``text``, with their types, or the type
+    and message of what it raised."""
+    try:
+        rows = parse(text)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return [(type(row), tuple(map(type, row)), tuple(row)) for row in rows]
+
+
+_BEHAVIOR_PAD = st.sampled_from(["", " ", "\t", "\xa0", "\u3000", " \t"])
+_COUNT = st.one_of(
+    st.integers(0, 150).map(str),
+    st.sampled_from(["1_0", "+5", "10.0", "0", "-1", "-0", "", "abc", "1e1",
+                     "\u0663", "5\x1f", "1 0", "0x1"]))
+_NAME = st.text(alphabet="ab_1 -.", max_size=4)
+
+
+@st.composite
+def _behavior_line(draw):
+    """A line of 3 to 5 padded fields, any of them bad."""
+    n = draw(st.integers(3, 5))
+    fields = [draw(_NAME) for _ in range(2)] + [draw(_COUNT) for _ in range(n - 2)]
+    return ",".join(draw(_BEHAVIOR_PAD) + f + draw(_BEHAVIOR_PAD) for f in fields)
+
+
+@st.composite
+def _valid_behavior_lines(draw):
+    """Rows that ``BehaviorTrace`` accepts, K up to 150 so some exceed 100."""
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        total = draw(st.integers(1, 150))
+        swipe = draw(st.integers(1, total))
+        fields = [draw(_NAME), draw(st.sampled_from(["quick", "drama", "c 1"])),
+                  str(total), str(swipe)]
+        lines.append(",".join(draw(_BEHAVIOR_PAD) + f + draw(_BEHAVIOR_PAD)
+                              for f in fields))
+    return lines
+
+
+def _replace_count(lines, i, column, value):
+    i = min(i, len(lines) - 1)
+    parts = lines[i].split(",")
+    parts[column] = value
+    return lines[:i] + [",".join(parts)] + lines[i + 1:]
+
+
+@st.composite
+def _behavior_text(draw):
+    lines = draw(st.one_of(
+        _valid_behavior_lines(),
+        st.lists(_behavior_line(), max_size=8),
+        # a valid population with one line replaced ...
+        st.tuples(_valid_behavior_lines(), _behavior_line(), st.integers(0, 11)).map(
+            lambda v: v[0][:v[2]] + [v[1]] + v[0][v[2] + 1:]),
+        # ... or one count replaced, by an edge case or an out-of-range value
+        st.tuples(_valid_behavior_lines(), st.integers(0, 11), st.sampled_from([2, 3]),
+                  st.sampled_from(["1_0", "+5", "10.0", "0", "-2", "151", "1000"])).map(
+            lambda v: _replace_count(v[0], *v[1:])),
+        # ... or a line with 2 commas next to one with 4: 8 fields that
+        # read as two valid rows if only the total were counted
+        st.tuples(_valid_behavior_lines(), st.integers(0, 11)).map(
+            lambda v: v[0][:v[1]] + ["x,c,5", "1,y,c,6,2"] + v[0][v[1]:])))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t", "\xa0", " \u3000 "])))
+    header = draw(st.sampled_from([None, BEHAVIOR_HEADER,
+                                   " trace_id, category,total_chunks , swipe_chunk",
+                                   "trace_id;category;total_chunks;swipe_chunk"]))
+    if header is not None:
+        if draw(st.booleans()):
+            lines.insert(0, header)
+        else:
+            lines[:0] = ["", header]  # a header after a blank first line
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r", "\u2028"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestParseBehaviorMatchesReference:
+    """The bulk parser accepts and rejects what the line-by-line parser did,
+    with the same rows or the same message."""
+
+    @settings(derandomize=True, database=None, max_examples=400, deadline=None)
+    @given(_behavior_text())
+    def test_same_rows_or_same_message(self, text):
+        assert (_behavior_outcome(parse_behavior_traces, text)
+                == _behavior_outcome(_reference_parse_behavior, text))
+
+    @pytest.mark.parametrize("text", [
+        "", "\n \n", BEHAVIOR_HEADER, BEHAVIOR_HEADER + "\n\n",
+        "\n" + BEHAVIOR_HEADER + "\nt,c,3,1", "t,c,1_0,+5", "t,c,10.0,5",
+        "t,c,5,5\x1f", "t,c,0,0", "t,c,3,4", "t,c,3,0", "x,c,5\n1,y,c,6,2",
+    ])
+    def test_edge_cases(self, text):
+        assert (_behavior_outcome(parse_behavior_traces, text)
+                == _behavior_outcome(_reference_parse_behavior, text))
+
+    @pytest.mark.parametrize("lineno, line, message", [
+        (20_001, "b20000,c04,40,3,9", "line 20001: expected 4 fields, got 5"),
+        (59_999, "b59998,c02,40.5,3", "line 59999: non-integer chunk count"),
+        (30_000, "b29999,c11,10,11",
+         "line 30000: trace b29999: swipe_chunk 11 out of range 1..10"),
+    ], ids=["5-fields", "non-integer", "swipe-beyond-total"])
+    def test_large_file_error_names_its_line(self, lineno, line, message):
+        lines = [BEHAVIOR_HEADER] + [f"b{i:05d},c{i % 12:02d},{5 + i % 86},{1 + i % 5}"
+                                     for i in range(59_999)]
+        text = "\n".join(lines) + "\n"
+        assert len(parse_behavior_traces(text)) == 59_999
+        lines[lineno - 1] = line
+        broken = "\n".join(lines) + "\n"
+        with pytest.raises(TraceFormatError) as exc:
+            parse_behavior_traces(broken)
+        assert str(exc.value) == message
+        assert _behavior_outcome(_reference_parse_behavior, broken) == (
+            TraceFormatError, message)

@@ -12,11 +12,12 @@ unpacked in another directory:
 of that workload alternate between the two sides, the parent first in even
 pairs and the change first in odd ones. Every other workload gets three
 pairs per seed. On the claimed workload each side also gets one traced run
-for the per-layer counts and one in-process timing of each strategy's
-milliseconds per full untraced session, and the change one cProfile top-20
-of a `compare`. Each side runs its own `swipebench/` on its own `src/`,
-which sets the run length. Runs are sequential; nothing else should run on
-the machine meanwhile.
+for the per-layer counts, and five rounds time each strategy's milliseconds
+per full untraced session, in one fresh interpreter per side per round with
+the order alternating as in the pairs; the change also gets one cProfile
+top-20 of a `compare`. Each side runs its own `swipebench/` on its own
+`src/`, which sets the run length. Runs are sequential; nothing else should
+run on the machine meanwhile.
 """
 from __future__ import annotations
 
@@ -67,12 +68,11 @@ print(out.getvalue())
 """
 
 
-# Milliseconds per full session of each strategy, untraced: after one
-# warm-up `compare` of the whole workload, each strategy's part alone is
-# run SESSION_MS_ROUNDS times in the same interpreter, and the median of
-# its batch time per session is kept.
+# Milliseconds per full session of each strategy, untraced, in one fresh
+# interpreter: after one warm-up `compare` of the whole workload, each
+# strategy's part alone is run once and its batch time per session printed.
 SESSION_MS = """
-import contextlib, io, json, statistics, sys, tempfile, time
+import contextlib, io, json, sys, tempfile, time
 from pathlib import Path
 sys.path[:0] = [sys.argv[1] + "/src", sys.argv[1] + "/swipebench"]
 from inputs import STRATEGIES, WORKLOADS
@@ -91,20 +91,23 @@ def compare(args, out):
             sys.exit(1)
 with tempfile.TemporaryDirectory() as tmp:
     (Path(tmp) / "in").mkdir()
-    args = WORKLOADS[sys.argv[4]][0](Path(tmp) / "in", int(sys.argv[2]))
+    args = WORKLOADS[sys.argv[3]][0](Path(tmp) / "in", int(sys.argv[2]))
     compare(args, str(Path(tmp) / "warm-up"))
     at = args.index("--strategy") + 1
     result = {}
     for name in STRATEGIES:
-        ms = []
-        for _ in range(int(sys.argv[3])):
-            compare(args[:at] + [name] + args[at + 1:], str(Path(tmp) / name))
-            seconds, sessions = batches[-1]
-            ms.append(1000.0 * seconds / sessions)
-        result[name] = {"median": statistics.median(ms), "runs": ms}
+        compare(args[:at] + [name] + args[at + 1:], str(Path(tmp) / name))
+        seconds, sessions = batches[-1]
+        result[name] = 1000.0 * seconds / sessions
 print(json.dumps(result))
 """
 SESSION_MS_ROUNDS = 5
+
+
+def sides(i: int) -> tuple[str, str]:
+    """The order of the two sides in round ``i``: the parent first in even
+    rounds, the change first in odd ones."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def bench(root: Path, workload: str, seed: int, trace: int) -> dict:
@@ -131,8 +134,7 @@ def paired(parent: Path, change: Path, workload: str, seed: int,
            pairs: int) -> dict:
     runs = {"parent": [], "change": []}
     for i in range(pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
+        for side in sides(i):
             root = parent if side == "parent" else change
             runs[side].append(bench(root, workload, seed, 0))
             print(f"{workload} seed {seed} pair {i} {side}: "
@@ -148,6 +150,26 @@ def paired(parent: Path, change: Path, workload: str, seed: int,
             sign * (c - p) > 0
             for p, c in zip(metric["parent"], metric["change"]))
     return out
+
+
+def session_ms(parent: Path, change: Path, workload: str, seed: int,
+               rounds: int) -> dict:
+    """Each side's milliseconds per session of each strategy: one fresh
+    `SESSION_MS` interpreter per side per round, alternating as in
+    `paired`; the median over the rounds and every round's value."""
+    runs = {"parent": {}, "change": {}}
+    for i in range(rounds):
+        for side in sides(i):
+            root = parent if side == "parent" else change
+            out = subprocess.run(
+                [sys.executable, "-c", SESSION_MS, str(root), str(seed),
+                 workload],
+                stdout=subprocess.PIPE, text=True, check=True).stdout
+            for name, ms in json.loads(out).items():
+                runs[side].setdefault(name, []).append(ms)
+    return {side: {name: {"median": statistics.median(ms), "runs": ms}
+                   for name, ms in by_name.items()}
+            for side, by_name in runs.items()}
 
 
 def src_digest(root: Path) -> str:
@@ -193,11 +215,8 @@ def main(argv=None) -> int:
                 for seed in SEEDS}
     for side, root in (("parent", parent), ("change", change)):
         report["claimed_trace_1"][side] = bench(root, claim, SEEDS[0], 1)
-        out = subprocess.run(
-            [sys.executable, "-c", SESSION_MS, str(root), str(SEEDS[0]),
-             str(SESSION_MS_ROUNDS), claim],
-            stdout=subprocess.PIPE, text=True, check=True).stdout
-        report["session_ms"][side] = json.loads(out)
+    report["session_ms"] = session_ms(parent, change, claim, SEEDS[0],
+                                      SESSION_MS_ROUNDS)
     profile = subprocess.run(
         [sys.executable, "-c", PROFILE, str(change), str(SEEDS[0]), claim],
         stdout=subprocess.PIPE, text=True, check=True).stdout

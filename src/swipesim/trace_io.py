@@ -6,8 +6,12 @@ input), one sample per row, finite timestamps strictly increasing from 0,
 finite non-negative bandwidths. The bandwidth holds constant from each
 timestamp until the next; the final sample extends forever. A
 :class:`ThroughputTrace` holds the samples as two columns, the timestamps
-and the bandwidths, and the parser converts a file's whole body in one
-pass; it walks the file line by line only to name the line of an error.
+and the bandwidths. The parser converts a file's whole body in one pass,
+checks the two columns as lists of floats and packs them into
+``array('d')``, 8 bytes a value; it walks the file line by line only to
+name the line of an error. :func:`download_finish_time` reads a
+download's first two segments by index and drains the rest through column
+iterators positioned with ``__setstate__``.
 
 Behavior CSV: header ``trace_id,category,total_chunks,swipe_chunk``
 (header optional on input), one viewing per row; fields are stripped of
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from bisect import bisect_right
 from dataclasses import FrozenInstanceError
 from itertools import islice, repeat
@@ -58,7 +63,9 @@ def _check_columns(starts, bws):
     the first bad one (its timestamp checked before its bandwidth).
 
     ``operator.lt``/``le``, not bound dunders: ``(0).__le__(1.5)`` returns
-    ``NotImplemented``, which is truthy."""
+    ``NotImplemented``, which is truthy. The bandwidths are compared with
+    ``0.0``, not ``0``: the same verdict for floats, ints and ``Fraction``s,
+    and a float column compares float to float."""
     if not starts:
         raise TraceFormatError("trace must contain at least one sample")
     if starts[0] != 0:
@@ -66,7 +73,7 @@ def _check_columns(starts, bws):
     inf = math.inf
     if (starts[-1] < inf
             and all(map(_lt, starts, starts[1:]))
-            and all(map(_le, repeat(0), bws))
+            and all(map(_le, repeat(0.0), bws))
             and all(map(_lt, bws, repeat(inf)))):
         return
     prev = -inf
@@ -81,9 +88,14 @@ def _check_columns(starts, bws):
 class ThroughputTrace:
     """Piecewise-constant bandwidth series; immutable once built.
 
-    Held as two columns, the segment starts and their bandwidths, each a
-    tuple of the caller's own number objects: no tuple per sample is kept.
-    ``samples`` zips them back into ``(t, bw)`` pairs on each access.
+    Held as two columns, the segment starts and their bandwidths; no tuple
+    per sample is kept. ``ThroughputTrace(samples)`` keeps the caller's own
+    number objects in two tuples, so a ``Fraction`` trace stays exact. The
+    parser and :func:`generate_scenario` pack their float columns into
+    ``array('d')``, 8 bytes a value. ``samples`` zips the columns back into
+    ``(t, bw)`` pairs on each access. Equality, hashing, ``repr``, pickling
+    and copying go by value, so a packed trace and a tuple trace of the same
+    samples are interchangeable.
     """
 
     __slots__ = ("_starts", "_bws")
@@ -93,15 +105,29 @@ class ThroughputTrace:
         self._set(tuple([t for t, _ in samples]), tuple([bw for _, bw in samples]))
 
     @classmethod
-    def _from_columns(cls, starts: tuple, bws: tuple) -> "ThroughputTrace":
+    def _from_columns(cls, starts, bws) -> "ThroughputTrace":
         """A trace of the given start and bandwidth columns, checked by the
         same rules as the public constructor."""
         self = object.__new__(cls)
         self._set(starts, bws)
         return self
 
+    @classmethod
+    def _from_floats(cls, starts: list, bws: list) -> "ThroughputTrace":
+        """A trace of two lists of floats, checked by the same rules as the
+        public constructor and then packed into ``array('d')`` columns:
+        checking the lists reads each float as it is, where an array would
+        box every value again."""
+        _check_columns(starts, bws)
+        self = object.__new__(cls)
+        self._hold(array("d", starts), array("d", bws))
+        return self
+
     def _set(self, starts, bws):
         _check_columns(starts, bws)
+        self._hold(starts, bws)
+
+    def _hold(self, starts, bws):
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_bws", bws)
 
@@ -118,13 +144,17 @@ class ThroughputTrace:
     def samples(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self._starts, self._bws))
 
+    def _values(self) -> tuple:
+        """The two columns as tuples, whatever sequences hold them."""
+        return tuple(self._starts), tuple(self._bws)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._starts == other._starts and self._bws == other._bws
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash((self._starts, self._bws))
+        return hash(self._values())
 
     def __repr__(self):
         return f"{type(self).__name__}(samples={self.samples!r})"
@@ -133,7 +163,7 @@ class ThroughputTrace:
         return bisect_right(self._starts, t) - 1
 
     def bandwidth_at(self, t) -> float:
-        if t < 0:
+        if not t >= 0:  # NaN too
             raise ValueError("time must be non-negative")
         return self._bws[self.segment_index(t)]
 
@@ -169,28 +199,37 @@ def parse_throughput_trace(text: str) -> ThroughputTrace:
 
     The whole body is converted in one pass: its sample lines, each holding
     exactly one comma, are joined with commas, split and mapped through
-    ``float``. Only a rejected file is walked line by line, for its message.
+    ``float``. The two float columns are checked as lists and packed into
+    ``array('d')``. Each intermediate list is dropped once no later step
+    needs it; the lines go before the fields are converted, so a rejected
+    file is split into lines again and walked line by line for its message.
     """
     lines = text.splitlines()
     body = lines
     if lines and lines[0].strip().replace(" ", "") == THROUGHPUT_HEADER:
         body = lines[1:]
     body = list(filter(str.strip, body))
+    # every line holds a comma and there are two fields a line, so every
+    # line holds exactly one
+    one_comma = all(map(_contains, body, repeat(",")))
+    n_lines = len(body)
     fields = ",".join(body).split(",") if body else []
+    del lines, body
     try:
-        # every line holds a comma and there are two fields a line, so every
-        # line holds exactly one
-        if len(fields) != 2 * len(body) or not all(map(_contains, body, repeat(","))):
+        if not one_comma or len(fields) != 2 * n_lines:
             raise ValueError
         nums = list(map(float, fields))
     except ValueError:
-        _raise_line_error(lines)
+        _raise_line_error(text.splitlines())
         raise  # unreachable: the walk rejects the same lines
+    del fields
+    starts, bws = nums[0::2], nums[1::2]
+    del nums
     try:
-        return ThroughputTrace._from_columns(tuple(nums[0::2]), tuple(nums[1::2]))
+        return ThroughputTrace._from_floats(starts, bws)
     except TraceSampleError as exc:
         index, rule = exc.args
-        lineno, _ = next(islice(_sample_lines(lines), index, None))
+        lineno, _ = next(islice(_sample_lines(text.splitlines()), index, None))
         raise TraceFormatError(f"line {lineno}: {rule}") from None
 
 
@@ -347,7 +386,7 @@ def generate_scenario(kind: str, seed: int, duration_s) -> ThroughputTrace:
     else:
         lo, hi = SCENARIO_BANDS[kind]
         bws = [rng.uniform(lo, hi) for _ in range(n)]
-    return ThroughputTrace._from_columns(tuple(map(float, range(n))), tuple(bws))
+    return ThroughputTrace._from_floats(list(map(float, range(n))), bws)
 
 
 def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
@@ -356,17 +395,26 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
 
     Arithmetic follows the numeric types passed in: with floats the result
     is correct to rounding, with ``fractions.Fraction`` inputs it is exact.
+    A NaN start or size is rejected like a negative one.
 
     The segment holding ``start_s`` is found by bisection over the trace's
     start column. From there each segment that ends at a next sample, with
-    its bandwidth ``bw`` read from the bandwidth column, either finishes the
-    download at ``pos + remaining / bw`` or drains
-    ``cap = bw * (seg_end - pos)`` kilobits; a zero-bandwidth segment is
-    skipped. The last sample's bandwidth carries whatever is left.
+    its bandwidth ``bw``, either finishes the download at
+    ``pos + remaining / bw`` or drains ``cap = bw * (seg_end - pos)``
+    kilobits; a zero-bandwidth segment is skipped. The last sample's
+    bandwidth carries whatever is left.
+
+    The first two segments, the first of them partial, are read by index:
+    on a per-second trace almost every download ends in them, and building
+    iterators would cost more than the reads. The segments after them are
+    drained by a ``zip`` of two column iterators placed with
+    ``__setstate__`` at the next segment's bandwidth and at its end, which
+    on a fine-grained trace costs less than reading a packed
+    ``array('d')`` by index, one new float object and one subscript a read.
     """
-    if start_s < 0:
+    if not start_s >= 0:  # NaN too
         raise ValueError("start time must be non-negative")
-    if size_kbit < 0:
+    if not size_kbit >= 0:
         raise ValueError("size must be non-negative")
     if size_kbit == 0:
         return start_s
@@ -376,7 +424,8 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
     i = bisect_right(starts, start_s) - 1
     pos = start_s
     remaining = size_kbit
-    while i < last:
+    stop = i + 2
+    while i < stop and i < last:
         bw = bws[i]
         i += 1
         seg_end = starts[i]
@@ -386,6 +435,18 @@ def download_finish_time(trace: ThroughputTrace, start_s, size_kbit):
                 return pos + remaining / bw
             remaining -= cap
         pos = seg_end
+    if i < last:
+        seg_bws = iter(bws)
+        seg_bws.__setstate__(i)
+        seg_ends = iter(starts)
+        seg_ends.__setstate__(i + 1)
+        for bw, seg_end in zip(seg_bws, seg_ends):
+            if bw > 0:
+                cap = bw * (seg_end - pos)
+                if remaining <= cap:
+                    return pos + remaining / bw
+                remaining -= cap
+            pos = seg_end
     bw = bws[last]
     if bw > 0:
         return pos + remaining / bw

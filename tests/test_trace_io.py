@@ -3,6 +3,7 @@ import gc
 import math
 import pickle
 import random
+import tracemalloc
 from array import array
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -225,6 +226,20 @@ class TestDownloadFinishTime:
         with pytest.raises(ValueError):
             download_finish_time(trace, 0.0, -1)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda trace: download_finish_time(trace, math.nan, 100),
+         "start time must be non-negative"),
+        (lambda trace: download_finish_time(trace, 0.0, math.nan),
+         "size must be non-negative"),
+        (lambda trace: trace.bandwidth_at(math.nan), "time must be non-negative"),
+    ], ids=["finish-start", "finish-size", "bandwidth-at"])
+    def test_rejects_nan(self, call, message):
+        for trace in (ThroughputTrace(((0.0, 2000.0), (1.0, 500.0))),
+                      parse_throughput_trace("0,2000\n1,500")):
+            with pytest.raises(ValueError) as exc:
+                call(trace)
+            assert str(exc.value) == message
+
     def test_monotone(self):
         rng = random.Random(23)
         samples, t = [], 0.0
@@ -302,15 +317,26 @@ def _random_piecewise(rng, n, num):
     return samples
 
 
-class TestFinishTimeMatchesReference:
-    """Exact agreement with a reference loop, on random piecewise traces."""
+def _parsed(samples) -> ThroughputTrace:
+    """The trace the parser builds from the file of ``samples``: packed
+    ``array('d')`` columns of the same floats."""
+    trace = parse_throughput_trace(serialize_throughput_trace(ThroughputTrace(samples)))
+    assert type(trace._starts) is array and type(trace._bws) is array
+    return trace
 
-    @pytest.mark.parametrize("num", [float, Fraction], ids=["float", "fraction"])
-    def test_random_traces(self, num):
+
+class TestFinishTimeMatchesReference:
+    """Exact agreement with a reference loop, on random piecewise traces,
+    tuple-backed and parsed (array-backed)."""
+
+    @pytest.mark.parametrize("num, build", [
+        (float, ThroughputTrace), (Fraction, ThroughputTrace), (float, _parsed),
+    ], ids=["float", "fraction", "float-parsed"])
+    def test_random_traces(self, num, build):
         rng = random.Random(101)
         for _ in range(150):
             samples = _random_piecewise(rng, rng.randint(1, 25), num)
-            trace = ThroughputTrace(tuple(samples))
+            trace = build(tuple(samples))
             last_t = samples[-1][0]
             starts = [t for t, _ in samples]               # on a breakpoint
             starts += [last_t + num(rng.randint(1, 30)) / 3  # past the last
@@ -328,12 +354,13 @@ class TestFinishTimeMatchesReference:
     def test_float_scenarios(self):
         rng = random.Random(103)
         for kind in ("mixed", "low"):
-            trace = generate_scenario(kind, 5, 90)
-            for _ in range(300):
-                start = rng.choice([rng.uniform(0, 100), float(rng.randint(0, 95))])
-                size = rng.uniform(1, 20000)
-                assert (download_finish_time(trace, start, size)
-                        == _reference_finish(trace.samples, start, size))
+            packed = generate_scenario(kind, 5, 90)
+            for trace in (packed, ThroughputTrace(packed.samples)):
+                for _ in range(300):
+                    start = rng.choice([rng.uniform(0, 100), float(rng.randint(0, 95))])
+                    size = rng.uniform(1, 20000)
+                    assert (download_finish_time(trace, start, size)
+                            == _reference_finish(trace.samples, start, size))
 
 
 class TestTraceInvariants:
@@ -414,6 +441,85 @@ class TestTraceInvariants:
                 ((0.0, 1.0, 0.5), (5.0, 1.0, -1.0), "sample 2: timestamps")):
             with pytest.raises(TraceSampleError, match=message):
                 ThroughputTrace._from_columns(starts, bws)
+
+
+# a segment's length and bandwidth, some bandwidths zero or tiny
+_SEGMENT = st.tuples(
+    st.floats(1e-3, 50),
+    st.one_of(st.just(0.0), st.floats(0, 1e4), st.floats(0, 1e-3)))
+
+
+class TestPackedColumns:
+    """The parser and ``generate_scenario`` pack a trace's columns into
+    ``array('d')``; such a trace answers as the tuple trace of the same
+    samples does."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(_SEGMENT, min_size=1, max_size=30), st.data())
+    def test_finish_times_equal_to_the_bit(self, segments, data):
+        samples, t = [], 0.0
+        for length, bw in segments:
+            samples.append((t, bw))
+            t += length
+        tuples = ThroughputTrace(samples)
+        packed = ThroughputTrace._from_floats([t for t, _ in samples],
+                                              [bw for _, bw in samples])
+        assert type(packed._bws) is array and type(tuples._bws) is tuple
+        last = samples[-1][0]
+        starts = [t for t, _ in samples]                       # on a breakpoint
+        starts += data.draw(st.lists(st.floats(last, last + 100), min_size=1,
+                                     max_size=3))              # at or past the last
+        starts += data.draw(st.lists(st.floats(0, last + 1), max_size=5))
+        sizes = [0.0] + data.draw(st.lists(
+            st.one_of(st.floats(0, 1e6), st.floats(0, 1)), min_size=1, max_size=4))
+        for start in starts:
+            for size in sizes:
+                assert (download_finish_time(packed, start, size).hex()
+                        == download_finish_time(tuples, start, size).hex()), (start, size)
+
+    def test_one_value_across_representations(self):
+        samples = ((0.0, 1500.0), (0.25, 0.0), (1.0, 2750.5), (3.5, 1e-3))
+        tuples = ThroughputTrace(samples)
+        parsed = parse_throughput_trace(serialize_throughput_trace(tuples))
+        assert parsed._starts.typecode == parsed._bws.typecode == "d"
+        assert parsed == tuples and tuples == parsed and hash(parsed) == hash(tuples)
+        assert len({parsed, tuples}) == 1
+        assert parsed != ThroughputTrace(samples[:-1]) and parsed != samples
+        assert repr(parsed) == repr(tuples)
+        assert parsed.samples == tuples.samples == samples
+        assert all(type(x) is float for pair in parsed.samples for x in pair)
+        assert serialize_throughput_trace(parsed) == serialize_throughput_trace(tuples)
+        copies = [copy.copy(parsed), copy.deepcopy(parsed)]
+        copies += [pickle.loads(pickle.dumps(parsed, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for again in copies:
+            assert type(again) is ThroughputTrace and type(again._bws) is array
+            assert again == tuples and hash(again) == hash(tuples)
+            assert repr(again) == repr(tuples)
+            with pytest.raises(FrozenInstanceError):
+                again._bws = ()
+        assert copies[1]._bws is not parsed._bws
+
+    def test_generated_traces_are_packed(self):
+        trace = generate_scenario("mixed", 3, 20)
+        assert type(trace._starts) is array and type(trace._bws) is array
+        assert trace == ThroughputTrace(trace.samples)
+        assert trace._starts.tolist() == [float(i) for i in range(20)]
+
+    def test_a_parsed_sample_holds_at_most_24_bytes(self):
+        """Two packed doubles are 16 bytes a sample; two float objects and
+        two tuple slots would be 64."""
+        n = 30_000
+        text = "\n".join(f"{i / 100!r},{1000.0 + i % 7!r}" for i in range(n)) + "\n"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = parse_throughput_trace(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.samples) == n
+        assert held <= 24 * n, f"{held / n:.1f} bytes a sample"
 
 
 def _reference_trace(samples):

@@ -13,11 +13,13 @@ opcode count, the count per source module, each strategy's total over its
 ten sessions and the summed session utility, which shows that a change
 left the output alone.
 
-The slice runs strategy by strategy over the ten traces, so the trace
-changes with every session. The engine's memo of finish times covers one
-trace at a time (`run_batch` runs each trace's sessions back to back), so
-here every session starts it anew: the count includes the memo's cost and
-never its savings.
+The slice runs trace by trace, each trace's five strategies back to back,
+as `run_batch` runs a batch. The engine's memo of finish times covers one
+trace at a time, so the count includes both the memo's cost and its
+savings: a trace's first session computes its finishes and the four after
+it find the ones they share. The utilities are added in strategy-major
+order, the order of the batch's rows, so the sum does not depend on the
+execution order.
 
 A bytecode count does not depend on the host's speed, so it can show that
 a change removed work where paired timings are too noisy to. A call into
@@ -62,7 +64,7 @@ def main(argv=None) -> int:
                                opts.duration)
     config = SessionConfig()
     sessions = [(make_strategy(name), ref.trace)
-                for name in STRATEGY_NAMES for ref in traces]
+                for ref in traces for name in STRATEGY_NAMES]
     for strategy, trace in sessions:
         run_session(script, trace, strategy, config, models)
 
@@ -74,7 +76,7 @@ def main(argv=None) -> int:
             ops[frame.f_code.co_filename] += 1
         return tracer
 
-    utility = 0.0
+    utilities: dict = {name: [] for name in STRATEGY_NAMES}
     per_strategy: Counter = Counter()
     for strategy, trace in sessions:
         before = sum(ops.values())
@@ -84,7 +86,11 @@ def main(argv=None) -> int:
         finally:
             sys.settrace(None)
         per_strategy[strategy.name] += sum(ops.values()) - before
-        utility += res.utility
+        utilities[strategy.name].append(res.utility)
+    utility = 0.0
+    for name in STRATEGY_NAMES:
+        for u in utilities[name]:
+            utility += u
 
     per_module: Counter = Counter()
     for filename, n in ops.items():

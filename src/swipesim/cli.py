@@ -21,7 +21,7 @@ import random
 import sys
 from pathlib import Path
 
-from .core import BitrateLadder, SessionConfig, VideoSpec
+from .core import BitrateLadder, SessionConfig, VideoSpec, json_count
 from .engine import TraceRef, SessionScript, run_batch, run_session, sample_script
 from .retention import build_model, model_from_dict, model_to_json
 from .strategy import FIXB_CURRENT, FIXB_NEXT, STRATEGY_NAMES, make_strategy
@@ -143,24 +143,22 @@ def _load_config(path) -> SessionConfig:
     return _read_input("config", path, lambda data: SessionConfig(**data), dict)
 
 
-def _count(value, field: str) -> int:
-    """A whole count read from JSON; ``true`` and ``10.7`` are rejected, not
-    read as 1 and 10."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError(f"field {field!r}: expected an integer, got "
-                         f"{json.dumps(value)}")
-    return int(value)
-
-
 def _video_from_dict(entry) -> VideoSpec:
     if not isinstance(entry, dict):
         raise ValueError("expected a JSON object")
+    duration, levels = entry["chunk_duration_s"], entry["ladder_kbps"]
+    try:
+        duration = float(duration)
+    except (TypeError, ValueError):
+        raise ValueError("field 'chunk_duration_s': expected a number") from None
+    try:
+        ladder = BitrateLadder(tuple(levels))
+    except TypeError:
+        raise ValueError("field 'ladder_kbps': expected a list of numbers") from None
     return VideoSpec(
         id=str(entry["id"]), category=str(entry["category"]),
-        chunk_count=_count(entry["chunk_count"], "chunk_count"),
-        chunk_duration_s=float(entry["chunk_duration_s"]),
-        ladder=BitrateLadder(tuple(entry["ladder_kbps"])))
+        chunk_count=json_count(entry["chunk_count"], "chunk_count"),
+        chunk_duration_s=duration, ladder=ladder)
 
 
 def _catalog(data) -> list[VideoSpec]:
@@ -189,7 +187,7 @@ def _scripts(data) -> list[SessionScript]:
         return SessionScript(
             script_id=str(entry["id"]),
             videos=tuple(by_id[vid] for vid in entry["videos"]),
-            swipe_points=tuple(_count(k, "swipe_points")
+            swipe_points=tuple(json_count(k, "swipe_points")
                                for k in entry["swipe_points"]))
 
     scripts = _each("script", data["scripts"], script)

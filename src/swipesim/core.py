@@ -10,9 +10,11 @@ chunks are indexed 1-based within a video.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Real
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,16 @@ def chunk_kbit(bitrate_kbps, duration_s):
     size = bitrate_kbps * duration_s
     isize = int(size)
     return isize if size == isize else size
+
+
+def json_count(value, field: str) -> int:
+    """A whole count read from JSON; ``true`` and ``10.7`` are rejected, not
+    read as 1 and 10."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"field {field!r}: expected an integer, got "
+                         f"{json.dumps(value)}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -192,6 +204,9 @@ class SessionConfig:
     quality_metric: str = "linear"
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not isinstance(getattr(self, f.name), Real):
+                raise ValueError(f"{f.name} must be a number")
         for name in ("w1", "w2", "w3", "w4", "alpha1", "alpha2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")

@@ -16,7 +16,8 @@ Event semantics of one session:
   the chunk in flight; its bits count toward cost (and waste when the
   video has departed). A chunk still in flight when the session closes is
   dropped entirely.
-* The strategy is consulted whenever the downloader is idle. A download
+* The engine fetches chunk 1 of video 0 at the lowest rung itself; then
+  the strategy is consulted whenever the downloader is idle. A download
   fetches the named player's next chunk. Sleeping wakes after
   ``t_sleep_s`` or at the next chunk-playback boundary, whichever comes
   first; sleeping while the video on screen waits for a chunk is an
@@ -369,6 +370,7 @@ class _Simulation:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SessionResult:
+        """Play the session out, opening with the engine's own download."""
         global _finish_memo
         views = self.views
         trace = self.trace
@@ -383,9 +385,12 @@ class _Simulation:
         finish_time = download_finish_time
         t_sleep = self.config.t_sleep_s
         ctx = self._ctx
+        # the engine's own first download; decisions start once a chunk lands
+        action = Download(0, views[0].ladder.lowest, threshold=1)
         while not self.done:
-            action = decide(build_ctx())
-            ctx.rebuffer_flag = False
+            if ctx.r_last is not None:
+                action = decide(build_ctx())
+                ctx.rebuffer_flag = False
             now = self.wall_clock_s
             if isinstance(action, Download):
                 vi = action.video_index

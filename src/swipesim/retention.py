@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable
+
+from .core import json_count
 
 BIN_COUNT = 100
 
@@ -37,8 +40,8 @@ class RetentionModel:
     def __post_init__(self):
         if len(self.mass) != BIN_COUNT:
             raise ValueError(f"mass vector must have {BIN_COUNT} bins")
-        if any(m < 0 for m in self.mass):
-            raise ValueError("mass entries must be non-negative")
+        if any(not isinstance(m, Real) or m < 0 for m in self.mass):
+            raise ValueError("mass entries must be non-negative numbers")
         total = sum(self.mass)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mass must sum to 1, got {total!r}")
@@ -162,10 +165,13 @@ def swipe_cdf(model: RetentionModel, total_chunks: int) -> tuple[float, ...]:
 
 
 def model_from_dict(data: dict) -> RetentionModel:
+    category, mass = data["category"], data["mass"]
+    if not isinstance(mass, (list, tuple)):
+        raise ValueError("field 'mass': expected a list of numbers")
     return RetentionModel(
-        category=data["category"],
-        mass=tuple(data["mass"]),
-        trace_count=int(data["trace_count"]),
+        category=category,
+        mass=tuple(mass),
+        trace_count=json_count(data["trace_count"], "trace_count"),
     )
 
 

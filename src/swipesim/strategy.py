@@ -5,11 +5,11 @@ player's next contiguous chunk to fetch at which bitrate, or sleep. A
 :class:`Download` names the window player and the rung, and the engine
 fetches that player's next chunk; a :class:`Sleep` idles for the session's
 ``t_sleep_s``. The context passed in is a read-only snapshot of the player
-window (players[0] is the one on screen), the playhead on it and
-throughput estimates. Playback of the current video waits for min(b0, K)
+window (players[0] is the one on screen), the playhead on it and the
+throughput estimates, which exist because the engine fetches the session's
+first chunk itself. Playback of the current video waits for min(b0, K)
 chunks, so every strategy fetches those before it sleeps, whatever its own
-target: the engine rejects a sleep while the video on screen waits for a
-chunk.
+target: the engine rejects a sleep while the video on screen waits.
 
 Buffer depth targets of the adaptive (dtaap) strategy, per video length K
 and behavior thresholds k_min / k_early / k_long (while the channel cannot
@@ -168,28 +168,19 @@ class StrategyContext:
     ``buffered`` and ``lead`` place the playhead on ``players[0]``: its
     chunks not yet played out, for the depth thresholds, and that less the
     played fraction of the chunk on screen, for the bitrate controller.
-    c_pred and c_ave are None until the first download completes; r_last is
-    the bitrate of the last downloaded chunk.
+    c_pred and c_ave are the throughput estimates and r_last the bitrate of
+    the last downloaded chunk, all three set from the first landed chunk on.
     """
 
     players: list[PlayerView]
     buffered: int
     lead: float
-    c_pred: Optional[float]
-    c_ave: Optional[float]
+    c_pred: float
+    c_ave: float
     c_min: float
-    r_last: Optional[int]
+    r_last: int
     rebuffer_flag: bool
     config: SessionConfig
-
-
-def _warmup_action(ctx: StrategyContext) -> Action:
-    """Before any download has completed there is no throughput estimate
-    (``c_ave`` is None); fetch the first missing chunk at the lowest rung."""
-    for p in ctx.players:
-        if not p.complete:
-            return Download(p.video_index, p.ladder.lowest, threshold=1)
-    return Sleep()
 
 
 def buffer_threshold_current(ctx: StrategyContext) -> int:
@@ -200,10 +191,9 @@ def buffer_threshold_current(ctx: StrategyContext) -> int:
     ceil_long = -(-th.k_long // k)
     ceil_early = -(-th.k_early // k)
     c = ctx.c_pred
-    r_last = ctx.r_last if ctx.r_last is not None else 0
     if c >= ctx.c_min:
         return 1 + ceil_long
-    if c > r_last:
+    if c > ctx.r_last:
         return 2 + ceil_long - ceil_early
     return 3 + ceil_long - ceil_early
 
@@ -212,10 +202,9 @@ def buffer_threshold_next(ctx: StrategyContext, player_index: int = 1) -> int:
     """Chunks to keep downloaded for a recommended player."""
     th = ctx.players[player_index].thresholds
     c = ctx.c_ave
-    r_last = ctx.r_last if ctx.r_last is not None else 0
     if c >= ctx.c_min:
         return 1 + th.k_min
-    if c > r_last:
+    if c > ctx.r_last:
         return 2 + th.k_min - th.k_early // (2 + th.k_min)
     return 3 + th.k_min - th.k_early // (3 + th.k_min)
 
@@ -269,7 +258,7 @@ def dtaap_bitrate(ctx: StrategyContext, player_index: int = 0) -> int:
         # fall back to the globally last downloaded chunk before chunk one
         anchor = p.last_bitrate
         if anchor is None:
-            anchor = ctx.r_last if ctx.r_last is not None else ladder.lowest
+            anchor = ctx.r_last
         if ctx.rebuffer_flag:
             pick = ladder.match(ctx.c_pred)
             if pick >= anchor:
@@ -306,8 +295,6 @@ def _starved(ctx: StrategyContext) -> bool:
 
 
 def dtaap_decide(ctx: StrategyContext) -> Action:
-    if ctx.c_ave is None:
-        return _warmup_action(ctx)
     starved = _starved(ctx)
     players = ctx.players
     b0 = ctx.config.b0_startup_chunks
@@ -339,8 +326,8 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
     return Sleep()
 
 
-def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
-    """Shared scan order of the fixed-threshold baselines."""
+def fixb_decide(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
+    """Fixed depth targets; also the scan of :func:`networkbased_decide`."""
     cur = ctx.players[0]
     if not cur.complete:
         if ctx.buffered < b_current:
@@ -357,16 +344,8 @@ def _scan_fixed(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
     return Sleep()
 
 
-def fixb_decide(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
-    if ctx.c_ave is None:
-        return _warmup_action(ctx)
-    return _scan_fixed(ctx, b_current, b_next)
-
-
 def nextone_decide(ctx: StrategyContext) -> Action:
     """Finish the current video, then fill each recommended player fully."""
-    if ctx.c_ave is None:
-        return _warmup_action(ctx)
     for p in ctx.players:
         if not p.complete:
             return Download(p.video_index, p.ladder.match(ctx.c_ave),
@@ -376,11 +355,9 @@ def nextone_decide(ctx: StrategyContext) -> Action:
 
 def networkbased_decide(ctx: StrategyContext) -> Action:
     """Fixed-style scan with thresholds scaled by the throughput regime."""
-    if ctx.c_ave is None:
-        return _warmup_action(ctx)
     regime = classify_regime(ctx.c_pred, ctx.players[0].ladder.lowest, ctx.c_min)
     b_current, b_next = NETWORK_REGIME_THRESHOLDS[regime]
-    return _scan_fixed(ctx, b_current, b_next)
+    return fixb_decide(ctx, b_current, b_next)
 
 
 def pdas_retention_cap(swipe_cdf) -> int:
@@ -409,8 +386,6 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
     the playhead and covers the startup chunks, so playback always
     progresses.
     """
-    if ctx.c_ave is None:
-        return _warmup_action(ctx)
     for j, p in enumerate(ctx.players):
         if p.complete:
             continue

@@ -368,8 +368,8 @@ def generate_scenario(kind: str, seed: int, duration_s) -> ThroughputTrace:
     """
     if kind not in SCENARIO_KINDS:
         raise ValueError(f"unknown scenario {kind!r}; choose one of {SCENARIO_KINDS}")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < math.inf:  # NaN too
+        raise ValueError("duration must be finite and positive")
     rng = random.Random(f"{kind}:{seed}")
     n = math.ceil(duration_s)
     bws = []

@@ -3,8 +3,9 @@ bandwidth, for checking the engine's event timeline.
 
 Written as a single flat chronological loop with its own state bookkeeping;
 it shares only the strategy decision functions and the domain types with
-the engine. Also holds the per-video cost and waste in megabits, the
-independent check of the engine's kilobit sums.
+the engine. Its first download, made before any throughput sample exists,
+is its own and calls no strategy. Also holds the per-video cost and waste
+in megabits, the independent check of the engine's kilobit sums.
 """
 import math
 
@@ -78,12 +79,9 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
         lad0 = views[0].spec.ladder
         lad1 = views[1].spec.ladder if len(views) > 1 else lad0
         c_min = lad0.lowest + config.b0_startup_chunks * lad1.lowest
-        if samples:
-            win = samples[-config.window_chunks:]
-            c_ave = sum(win) / len(win)
-            c_pred = config.alpha1 * c_ave + config.alpha2 * samples[-1]
-        else:
-            c_ave = c_pred = None
+        win = samples[-config.window_chunks:]
+        c_ave = sum(win) / len(win)
+        c_pred = config.alpha1 * c_ave + config.alpha2 * samples[-1]
         buff, lead = playhead()
         return StrategyContext(players=views, buffered=buff, lead=lead,
                                c_pred=c_pred, c_ave=c_ave,
@@ -93,8 +91,12 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
 
     while not done:
         if in_flight is None:
-            ctx = build_ctx()
-            action = strategy.decide(ctx)
+            if samples:
+                action = strategy.decide(build_ctx())
+            else:
+                # nothing to estimate from yet: video 0's first chunk comes
+                # at its lowest rung
+                action = Download(0, videos[0].ladder.lowest, threshold=1)
             marker = total_rebuf
             if isinstance(action, Download):
                 vi, rate = action.video_index, action.bitrate_kbps

@@ -74,10 +74,16 @@ class TestGen:
         for fa, fb in zip(sorted(a.glob("*.csv")), sorted(b.glob("*.csv"))):
             assert fa.read_bytes() == fb.read_bytes()
 
-    def test_zero_duration_is_input_error(self, tmp_path):
-        assert run_cli("gen", "--scenario", "low", "--seed", "3",
-                       "--duration", "0", "--count", "1",
-                       "--out", str(tmp_path)) == 1
+    def test_zero_duration_is_input_error(self, tmp_path, capsys):
+        # run and compare generate their traces as gen does
+        for argv in (["gen", "--count", "1"], ["run"],
+                     ["compare", "--n-scripts", "1", "--n-traces", "1"]):
+            for duration in ("0", "nan", "inf"):
+                assert run_cli(*argv, "--scenario", "low", "--seed", "3",
+                               "--duration", duration,
+                               "--out", str(tmp_path)) == 1
+                assert ("error: duration must be finite and positive"
+                        in capsys.readouterr().err)
 
     def test_unknown_kind_is_input_error(self, tmp_path):
         assert run_cli("gen", "--scenario", "wild", "--out", str(tmp_path)) == 1
@@ -381,6 +387,11 @@ VIDEO = {"id": "v0", "category": "quick", "chunk_count": 10,
          "chunk_duration_s": 1.0, "ladder_kbps": [750, 1200]}
 
 
+def _model_json(**fields):
+    return json.dumps({"category": "quick", "mass": [0.01] * 100,
+                       "trace_count": 1, **fields})
+
+
 def _scripts_json(**script):
     entry = {"id": "s0", "videos": ["v0"], "swipe_points": [3], **script}
     return json.dumps({"catalog": [VIDEO],
@@ -422,13 +433,29 @@ def _scripts_json(**script):
      "script 0: field 'swipe_points': expected an integer, got 3.5"),
     ("--scripts", "scripts.json", _scripts_json(swipe_points=[True]),
      "script 0: field 'swipe_points': expected an integer, got true"),
+    ("--model", "model.json", _model_json(trace_count=1.5),
+     "field 'trace_count': expected an integer, got 1.5"),
+    ("--model", "model.json", _model_json(trace_count=True),
+     "field 'trace_count': expected an integer, got true"),
+    ("--model", "model.json", _model_json(mass=5),
+     "field 'mass': expected a list of numbers"),
+    ("--model", "model.json", _model_json(mass=["x"] * 100),
+     "mass entries must be non-negative numbers"),
+    ("--config", "config.json", json.dumps({"w1": "a"}),
+     "w1 must be a number"),
+    ("--catalog", "catalog.json", json.dumps([{**VIDEO, "chunk_duration_s": "x"}]),
+     "entry 0: field 'chunk_duration_s': expected a number"),
+    ("--catalog", "catalog.json", json.dumps([{**VIDEO, "ladder_kbps": "abc"}]),
+     "entry 0: field 'ladder_kbps': expected a list of numbers"),
 ], ids=["scripts-no-scripts", "script-no-swipe-points", "scripts-list",
         "swipe-point-not-int", "swipe-point-out-of-range", "model-no-mass",
         "catalog-json", "config-json", "scripts-json", "model-json",
         "trace-row", "behavior-row", "model-build-behavior-row",
         "chunk-count-fraction", "chunk-count-bool",
         "scripts-chunk-count-fraction", "swipe-point-fraction",
-        "swipe-point-bool"])
+        "swipe-point-bool", "trace-count-fraction", "trace-count-bool",
+        "mass-not-a-list", "mass-entry-type", "config-field-type", "chunk-duration-type",
+        "ladder-type"])
 def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
                                           text, where):
     path = tmp_path / name
@@ -457,6 +484,10 @@ def test_integral_counts_still_load(tmp_path):
     scripts.write_text(_scripts_json(swipe_points=[3.0]))
     [script] = cli._read_input("scripts", scripts, cli._scripts, dict)
     assert script.swipe_points == (3,) and type(script.swipe_points[0]) is int
+    model = tmp_path / "model.json"
+    model.write_text(_model_json(trace_count=2.0))
+    assert cli._read_input("model", model, model_from_dict,
+                           dict).trace_count == 2
     assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
                    "--n-traces", "1", "--duration", "60", "--scripts",
                    str(scripts), "--out", str(tmp_path / "out")) == 0

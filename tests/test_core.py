@@ -153,3 +153,12 @@ class TestSessionConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SessionConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", [
+        "w1", "w2", "w3", "w4", "alpha1", "alpha2", "gamma1", "gamma2",
+        "p_th_early", "p_th_long", "t_sleep_s"])
+    def test_non_number_names_its_field(self, name):
+        # as a config file can give it: a string, a list or a null
+        for value in ("a", [1], None):
+            with pytest.raises(ValueError, match=f"^{name} must be a number$"):
+                SessionConfig(**{name: value})

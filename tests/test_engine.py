@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from _oracle import brute_force_session, canonical
 
 from swipesim import engine
@@ -211,20 +213,14 @@ def _run_rogue(decide):
                        Strategy("rogue", decide), CFG, MODEL)
 
 
-def _first_chunk_then_sleep(ctx):
-    """Fetch chunk 1 of the on-screen video, then only sleep: playback
-    starts and stalls at chunk 2."""
-    cur = ctx.players[0]
-    return Download(cur.video_index, 750) if cur.downloaded == 0 else Sleep()
-
-
 # id -> (a strategy that sleeps while the video on screen waits, the
-# error's subject)
+# error's subject). The engine fetches chunk 1 of video 0 before the first
+# decision, so a strategy that only sleeps lets playback start on it and
+# stall at chunk 2; a sleep before playback starts is the swipe's case.
 IDLE_CASES = {
-    "first-startup": (lambda ctx: Sleep(), "video 0 waits for chunk 1"),
     "swipe-startup": (_after_first_swipe(Sleep()),
                       "video 1 waits for chunk 1"),
-    "mid-video": (_first_chunk_then_sleep, "video 0 waits for chunk 2"),
+    "mid-video": (lambda ctx: Sleep(), "video 0 waits for chunk 2"),
 }
 
 _IDLE_CHILD = """\
@@ -345,6 +341,99 @@ class TestStarvation:
         assert by_id["live"].status == "ok"
         agg = report.aggregates[0]
         assert agg.sessions == 2 and agg.starved == 1
+
+
+class TestEngineBootstrap:
+    """The engine fetches chunk 1 of video 0 at the lowest rung itself, so
+    every context a strategy sees carries throughput estimates."""
+
+    SCRIPT = SessionScript("s", videos_of(4, 5), (2, 5, 1, 3))
+    # under the lowest rung, then a dead stretch: the session stalls, the
+    # starved branches decide, and the channel recovers before the end
+    STARVING = ThroughputTrace(((0.0, 900.0), (3.0, 0.0), (5.0, 600.0),
+                                (9.0, 3000.0)))
+
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_first_download_is_the_engines(self, name):
+        seen = []
+
+        def decide(ctx):
+            seen.append((ctx.c_pred, ctx.c_ave, ctx.r_last))
+            return inner(ctx)
+        inner = make_strategy(name).decide
+        lowest = self.SCRIPT.videos[0].ladder.lowest
+        for b0, trace in itertools.product(
+                (1, 2, 3), (const_trace(2000), self.STARVING)):
+            seen.clear()
+            res = run_session(self.SCRIPT, trace, Strategy(name, decide),
+                              SessionConfig(b0_startup_chunks=b0), MODEL,
+                              record_timeline=True)
+            assert res.timeline[0] == ("dl_start", 0.0, 0, 1, lowest, 0, 1)
+            assert seen and all(None not in est for est in seen)
+            # one decision per action after the engine's own, none after
+            # the end: a decision past it would have no action to record
+            actions = [ev for ev in res.timeline
+                       if ev[0] in ("dl_start", "sleep")]
+            assert len(seen) == len(actions) - 1
+            assert res.timeline[-1][0] == "end"
+
+
+@st.composite
+def _scaled_sessions(draw):
+    """A script, a piecewise trace, a strategy, a startup depth and a power
+    of two to scale rates by. Some segments carry no bandwidth, and a trace
+    whose last one carries none starves any session that outlasts it."""
+    videos = tuple(
+        VideoSpec(f"v{i}", "cat", draw(st.integers(1, 12)),
+                  draw(st.sampled_from((0.5, 1.0, 2.0))),
+                  draw(st.sampled_from((LADDER1, LADDER2, LADDER3))))
+        for i in range(draw(st.integers(1, 6))))
+    swipes = tuple(draw(st.integers(1, v.chunk_count)) for v in videos)
+    gaps = draw(st.lists(st.sampled_from((0.25, 0.5, 1.0, 1.5, 3.0)),
+                         max_size=8))
+    rate = st.integers(300, 6000).map(float)
+    bws = [0.0 if draw(st.integers(0, 3)) == 3 else draw(rate) for _ in gaps]
+    bws.append(0.0 if draw(st.integers(0, 4)) == 4 else draw(rate))
+    starts = [0.0] + list(itertools.accumulate(gaps))
+    return (SessionScript("s", videos, swipes), list(zip(starts, bws)),
+            draw(st.sampled_from(STRATEGY_NAMES)), draw(st.integers(1, 3)),
+            2 ** draw(st.integers(1, 3)))
+
+
+def _outcome(script, samples, name, b0):
+    """The session's timeline, or where it starved."""
+    try:
+        return run_session(script, ThroughputTrace(samples),
+                           make_strategy(name),
+                           SessionConfig(b0_startup_chunks=b0), MODEL,
+                           record_timeline=True).timeline
+    except StarvationError as err:
+        return ("starved", err.video_index, err.chunk_index, err.wall_clock_s)
+
+
+class TestBandwidthScale:
+    """Metamorphic relation: scaling every ladder rung and every trace
+    bandwidth by 2**k leaves the timeline as it is, except that each
+    download's bitrate is 2**k times as large. A power of two scales every
+    float result exactly, so the relation holds bit for bit."""
+
+    @settings(derandomize=True, database=None, max_examples=400,
+              deadline=None)
+    @given(_scaled_sessions())
+    def test_timeline_scales_only_bitrates(self, case):
+        script, samples, name, b0, m = case
+        scaled_script = SessionScript("s", tuple(
+            dataclasses.replace(v, ladder=BitrateLadder(
+                tuple(m * r for r in v.ladder.levels)))
+            for v in script.videos), script.swipe_points)
+        base = _outcome(script, samples, name, b0)
+        scaled = _outcome(scaled_script, [(t, m * bw) for t, bw in samples],
+                          name, b0)
+        # a starved session starves at the same chunk at the same time
+        expected = base if base[0] == "starved" else tuple(
+            ev[:4] + (m * ev[4],) + ev[5:] if ev[0] == "dl_start" else ev
+            for ev in base)
+        assert scaled == expected
 
 
 class TestNonPreemption:

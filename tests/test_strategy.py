@@ -113,14 +113,6 @@ class TestDtaapDecide:
         action = dtaap_decide(ctx)
         assert action == Sleep()
 
-    def test_warmup_bootstraps_lowest(self):
-        ctx = make_ctx(c_pred=None, c_ave=None, r_last=None)
-        action = dtaap_decide(ctx)
-        assert isinstance(action, Download)
-        assert action.video_index == 0
-        assert ctx.players[0].downloaded + 1 == 1
-        assert action.bitrate_kbps == 750
-
     def test_starved_priority_order(self):
         # both estimates below STARVED_EXIT_MARGIN * 750: playhead cushion,
         # then the current video's startup chunks, then min(b0, K) of each

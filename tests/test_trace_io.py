@@ -193,8 +193,9 @@ class TestGenerateScenario:
             generate_scenario("wild", 1, 10)
 
     def test_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            generate_scenario("low", 1, 0)
+        for duration in (0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                generate_scenario("low", 1, duration)
 
 
 class TestDownloadFinishTime:

@@ -28,8 +28,8 @@ class BitrateLadder:
         object.__setattr__(self, "levels", levels)
         if not levels:
             raise ValueError("bitrate ladder must not be empty")
-        if any(lv <= 0 for lv in levels):
-            raise ValueError("bitrate ladder levels must be positive")
+        if not all(0 < lv < math.inf for lv in levels):
+            raise ValueError("bitrate ladder levels must be finite and positive")
         if any(a >= b for a, b in zip(levels, levels[1:])):
             raise ValueError("bitrate ladder levels must be strictly ascending")
 
@@ -97,8 +97,9 @@ class VideoSpec:
     def __post_init__(self):
         if self.chunk_count < 1:
             raise ValueError(f"video {self.id}: chunk_count must be >= 1")
-        if self.chunk_duration_s <= 0:
-            raise ValueError(f"video {self.id}: chunk_duration_s must be > 0")
+        if not 0 < self.chunk_duration_s < math.inf:
+            raise ValueError(
+                f"video {self.id}: chunk_duration_s must be finite and > 0")
 
     @cached_property
     def chunk_kbit_by_rate(self) -> dict:

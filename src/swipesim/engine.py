@@ -156,21 +156,6 @@ def _video_profile(model: RetentionModel, chunk_count: int,
     return thresholds, cdf
 
 
-# The finish times of one trace's downloads, shared by the sessions that run
-# on it back to back: ``(trace, {key: finish})``. A finish time is a pure
-# function of (trace, start, size), and the sessions of one (script, trace)
-# pair under different strategies repeat long download chains. A session on
-# another trace object (by identity; the pair holds it strongly) replaces
-# the pair, so the memo covers one trace at a time. run_batch runs trace by
-# trace, then script by script, then strategy by strategy, so each trace's
-# sessions share one memo; its rows still keep input order. A miss calls the
-# module's ``download_finish_time``. The key is
-# ``(start, size, start.__class__, size.__class__)``: a float and a
-# ``Fraction`` of equal value hash alike, yet the channel answers them
-# differently (rounded vs exact). ``math.inf`` is stored like any finish.
-_finish_memo: tuple = (None, {})
-
-
 def _model_for(model, category: str) -> RetentionModel:
     if isinstance(model, RetentionModel):
         return model
@@ -190,9 +175,10 @@ class _Simulation:
 
     def __init__(self, script: SessionScript, trace: ThroughputTrace,
                  strategy, config: SessionConfig, model,
-                 record_timeline: bool = False):
+                 record_timeline: bool = False, finishes=None):
         self.script = script
         self.trace = trace
+        self.finishes = {} if finishes is None else finishes
         self.strategy = strategy
         self.config = config
         self.n_videos = len(script.videos)
@@ -371,13 +357,9 @@ class _Simulation:
 
     def run(self) -> SessionResult:
         """Play the session out, opening with the engine's own download."""
-        global _finish_memo
         views = self.views
         trace = self.trace
-        memo_trace, memo = _finish_memo
-        if memo_trace is not trace:
-            memo = {}
-            _finish_memo = (trace, memo)
+        memo = self.finishes
         timeline = self.timeline
         decide = self.strategy.decide
         build_ctx = self._build_ctx
@@ -471,8 +453,15 @@ class _Simulation:
 
 def run_session(script: SessionScript, trace: ThroughputTrace, strategy,
                 config: SessionConfig, model,
-                record_timeline: bool = False) -> SessionResult:
+                record_timeline: bool = False, *,
+                finishes: Optional[dict] = None) -> SessionResult:
     """Simulate one viewing session and score it.
+
+    ``finishes`` memoises finish times, a pure function of (trace, start,
+    size), for the sessions of one trace; ``None`` gives the call its own
+    dict. A miss calls the module's ``download_finish_time``. Keys carry the
+    classes of start and size: a float and an equal ``Fraction`` hash alike
+    yet the channel rounds only the float. ``math.inf`` is memoised too.
 
     With ``record_timeline`` the result's ``timeline`` holds one tuple per
     event, in engine order (t seconds, v video index, k chunk index):
@@ -488,7 +477,7 @@ def run_session(script: SessionScript, trace: ThroughputTrace, strategy,
     * ``("end", t)``: the session closes, at the last swipe.
     """
     return _Simulation(script, trace, strategy, config, model,
-                       record_timeline).run()
+                       record_timeline, finishes).run()
 
 
 @dataclass(frozen=True)
@@ -582,10 +571,10 @@ def run_batch(scripts: Sequence[SessionScript], traces: Sequence[TraceRef],
     """Run every strategy over the scripts x traces matrix.
 
     Sessions run trace by trace: for each trace, each script, each
-    strategy, so a trace's sessions run back to back and share the
-    engine's memo of its finish times (see ``_finish_memo``). Rows keep
-    input order all the same: strategy, then script, then trace, as the
-    row index ``(k * n_scripts + si) * n_traces + ti`` places them.
+    strategy, and a trace's sessions share one ``finishes`` dict (see
+    ``run_session``), dropped when the next trace starts. Rows keep input
+    order all the same: strategy, then script, then trace, as the row
+    index ``(k * n_scripts + si) * n_traces + ti`` places them.
 
     Starved sessions become flagged rows with empty metrics rather than
     failing the batch. Output order is fixed by input order, so repeated
@@ -597,10 +586,12 @@ def run_batch(scripts: Sequence[SessionScript], traces: Sequence[TraceRef],
     n_traces = len(traces)
     rows: list = [None] * (len(strategies) * n_scripts * n_traces)
     for ti, tr in enumerate(traces):
+        finishes: dict = {}
         for si, script in enumerate(scripts):
             for k, strat in enumerate(strategies):
                 try:
-                    res = run_session(script, tr.trace, strat, config, model)
+                    res = run_session(script, tr.trace, strat, config, model,
+                                      finishes=finishes)
                     outcome = ("ok", res.qoe_total, res.cost_mbit_total,
                                res.waste_mbit_total, res.utility,
                                res.rebuffer_total_s)

@@ -13,6 +13,7 @@ swipe_probability(k, K) is the mass of the bins chunk k covers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 from typing import Iterable
@@ -40,7 +41,8 @@ class RetentionModel:
     def __post_init__(self):
         if len(self.mass) != BIN_COUNT:
             raise ValueError(f"mass vector must have {BIN_COUNT} bins")
-        if any(not isinstance(m, Real) or m < 0 for m in self.mass):
+        if any(not isinstance(m, Real) or not 0 <= m < math.inf
+               for m in self.mass):
             raise ValueError("mass entries must be non-negative numbers")
         total = sum(self.mass)
         if abs(total - 1.0) > 1e-9:

@@ -11,6 +11,11 @@ first chunk itself. Playback of the current video waits for min(b0, K)
 chunks, so every strategy fetches those before it sleeps, whatever its own
 target: the engine rejects a sleep while the video on screen waits.
 
+A strategy must stay homogeneous in bandwidth and time: no constant in
+kbps or seconds, only ratios. Scaling every rate, or every time, by a power
+of two must leave its decisions alone, as ``TestBandwidthScale`` and
+``TestTimeScale`` in ``tests/test_engine.py`` check.
+
 Buffer depth targets of the adaptive (dtaap) strategy, per video length K
 and behavior thresholds k_min / k_early / k_long (while the channel cannot
 sustain the lowest rung they are instead a playhead cushion of

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -447,6 +448,20 @@ def _scripts_json(**script):
      "entry 0: field 'chunk_duration_s': expected a number"),
     ("--catalog", "catalog.json", json.dumps([{**VIDEO, "ladder_kbps": "abc"}]),
      "entry 0: field 'ladder_kbps': expected a list of numbers"),
+    # Python's json reads NaN and Infinity; they used to fail later in the
+    # run, with a message that named neither the file nor the field
+    ("--catalog", "catalog.json",
+     json.dumps([{**VIDEO, "chunk_duration_s": math.nan}]),
+     "entry 0: video v0: chunk_duration_s must be finite and > 0"),
+    ("--scripts", "scripts.json", json.dumps({
+        "catalog": [{**VIDEO, "chunk_duration_s": math.inf}],
+        "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]}]}),
+     "catalog entry 0: video v0: chunk_duration_s must be finite and > 0"),
+    ("--catalog", "catalog.json",
+     json.dumps([{**VIDEO, "ladder_kbps": [750, math.inf]}]),
+     "entry 0: bitrate ladder levels must be finite and positive"),
+    ("--model", "model.json", _model_json(mass=[math.nan] + [0.01] * 99),
+     "mass entries must be non-negative numbers"),
 ], ids=["scripts-no-scripts", "script-no-swipe-points", "scripts-list",
         "swipe-point-not-int", "swipe-point-out-of-range", "model-no-mass",
         "catalog-json", "config-json", "scripts-json", "model-json",
@@ -455,7 +470,8 @@ def _scripts_json(**script):
         "scripts-chunk-count-fraction", "swipe-point-fraction",
         "swipe-point-bool", "trace-count-fraction", "trace-count-bool",
         "mass-not-a-list", "mass-entry-type", "config-field-type", "chunk-duration-type",
-        "ladder-type"])
+        "ladder-type", "chunk-duration-nan", "chunk-duration-inf", "ladder-inf",
+        "mass-entry-nan"])
 def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
                                           text, where):
     path = tmp_path / name

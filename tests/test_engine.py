@@ -400,12 +400,13 @@ def _scaled_sessions(draw):
             2 ** draw(st.integers(1, 3)))
 
 
-def _outcome(script, samples, name, b0):
+def _outcome(script, samples, name, b0, t_sleep_s=CFG.t_sleep_s):
     """The session's timeline, or where it starved."""
     try:
         return run_session(script, ThroughputTrace(samples),
                            make_strategy(name),
-                           SessionConfig(b0_startup_chunks=b0), MODEL,
+                           SessionConfig(b0_startup_chunks=b0,
+                                         t_sleep_s=t_sleep_s), MODEL,
                            record_timeline=True).timeline
     except StarvationError as err:
         return ("starved", err.video_index, err.chunk_index, err.wall_clock_s)
@@ -434,6 +435,34 @@ class TestBandwidthScale:
             ev[:4] + (m * ev[4],) + ev[5:] if ev[0] == "dl_start" else ev
             for ev in base)
         assert scaled == expected
+
+
+class TestTimeScale:
+    """Metamorphic relation: scaling the trace's timestamps, every chunk
+    duration and the sleep interval by 2**k scales every event time and
+    wake time by 2**k and leaves every decision as it is: a chunk is 2**k
+    times as large and takes 2**k times as long, so every throughput and
+    every buffer lead stays the same. Exact, as for the bandwidth scale."""
+
+    @settings(derandomize=True, database=None, max_examples=400,
+              deadline=None)
+    @given(_scaled_sessions())
+    def test_timeline_scales_only_times(self, case):
+        script, samples, name, b0, m = case
+        scaled_script = SessionScript("s", tuple(
+            dataclasses.replace(v, chunk_duration_s=m * v.chunk_duration_s)
+            for v in script.videos), script.swipe_points)
+        base = _outcome(script, samples, name, b0)
+        scaled = _outcome(scaled_script, [(m * t, bw) for t, bw in samples],
+                          name, b0, t_sleep_s=m * CFG.t_sleep_s)
+        if base[0] == "starved":
+            # the same chunk starves, at the scaled time
+            assert scaled == base[:3] + (m * base[3],)
+            return
+        # a sleep's second field is its wake time
+        assert scaled == tuple(
+            (ev[0], m * ev[1], m * ev[2]) if ev[0] == "sleep"
+            else (ev[0], m * ev[1]) + ev[2:] for ev in base)
 
 
 class TestNonPreemption:
@@ -547,10 +576,9 @@ def _session_row(strategy, script, tr):
 
 
 def _fresh(trace):
-    """An equal-valued trace object that no session has run on, with the
-    engine's finish memo emptied, so a session on it computes every finish
-    itself (a session never repeats a start time of its own)."""
-    engine._finish_memo = (None, {})
+    """An equal-valued trace object that no session has run on; a session
+    on it alone computes every finish itself (a session never repeats a
+    start time of its own)."""
     return ThroughputTrace(trace.samples)
 
 
@@ -583,9 +611,9 @@ def _row_repr(row):
 
 
 class TestFinishMemo:
-    """The sessions of one trace share the engine's memo of finish times;
-    every result equals a fresh session's on a fresh, equal-valued trace
-    (``_fresh``)."""
+    """The sessions of one trace in a batch share one dict of finish times,
+    and a session run alone has a dict of its own; every result equals a
+    fresh session's on a fresh, equal-valued trace (``_fresh``)."""
 
     SCRIPTS = (
         SessionScript("a", videos_of(4, 5, LADDER1), (2, 5, 1, 3)),
@@ -613,7 +641,7 @@ class TestFinishMemo:
         strategies = [make_strategy(n) for n in STRATEGY_NAMES]
         report = run_batch(self.SCRIPTS, [TraceRef("t", "custom", trace)],
                            strategies, CFG, MODEL)
-        # the memo still holds this trace's finish times
+        # a session after the batch computes its finishes afresh
         script, strategy = self.SCRIPTS[0], make_strategy("network")
         timeline = _run(script, trace, strategy, record_timeline=True)
         assert timeline == _run(script, _fresh(trace), strategy,
@@ -663,8 +691,8 @@ class TestFinishMemo:
 
     def test_threads_switching_traces(self):
         # sessions on two traces from more threads than cores, switching
-        # often: each session keeps the memo it started with. On these two
-        # traces many (start, size) keys occur on both.
+        # often: each session keeps a memo of its own. On these two traces
+        # many (start, size) keys occur on both.
         traces = (const_trace(1000), const_trace(1500))
         jobs = [(script, trace, name) for script in self.SCRIPTS
                 for trace in traces for name in STRATEGY_NAMES]
@@ -694,6 +722,18 @@ class TestFinishMemo:
         assert len(results) == 6 * len(jobs)
         for i, result in results:
             assert result == expected[i], jobs[i]
+
+    def test_no_reference_to_the_trace_outlives_the_call(self):
+        trace = generate_scenario("medium", 5, 300)
+        before = sys.getrefcount(trace)
+        run_batch(self.SCRIPTS[:2], [TraceRef("t", "medium", trace)],
+                  [make_strategy("dtaap")], CFG, MODEL)
+        assert sys.getrefcount(trace) == before
+        # a sweep of standalone sessions on one trace keeps nothing either
+        for name in STRATEGY_NAMES:
+            for script in self.SCRIPTS:
+                run_session(script, trace, make_strategy(name), CFG, MODEL)
+        assert sys.getrefcount(trace) == before
 
 
 class TestScripts:

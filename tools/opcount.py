@@ -14,12 +14,12 @@ ten sessions and the summed session utility, which shows that a change
 left the output alone.
 
 The slice runs trace by trace, each trace's five strategies back to back,
-as `run_batch` runs a batch. The engine's memo of finish times covers one
-trace at a time, so the count includes both the memo's cost and its
-savings: a trace's first session computes its finishes and the four after
-it find the ones they share. The utilities are added in strategy-major
-order, the order of the batch's rows, so the sum does not depend on the
-execution order.
+as `run_batch` runs a batch, and like `run_batch` it gives each trace's
+sessions one shared dict of finish times, a new one in each pass. So the
+count includes both the memo's cost and its savings: a trace's first
+session computes its finishes and the four after it find the ones they
+share. The utilities are added in strategy-major order, the order of the
+batch's rows, so the sum does not depend on the execution order.
 
 A bytecode count does not depend on the host's speed, so it can show that
 a change removed work where paired timings are too noisy to. A call into
@@ -63,10 +63,12 @@ def main(argv=None) -> int:
     traces = cli._build_traces(opts, list(SCENARIOS), TRACES_PER_SCENARIO,
                                opts.duration)
     config = SessionConfig()
-    sessions = [(make_strategy(name), ref.trace)
-                for ref in traces for name in STRATEGY_NAMES]
-    for strategy, trace in sessions:
-        run_session(script, trace, strategy, config, models)
+    strategies = [make_strategy(name) for name in STRATEGY_NAMES]
+    for ref in traces:
+        finishes: dict = {}
+        for strategy in strategies:
+            run_session(script, ref.trace, strategy, config, models,
+                        finishes=finishes)
 
     ops: Counter = Counter()
 
@@ -78,15 +80,18 @@ def main(argv=None) -> int:
 
     utilities: dict = {name: [] for name in STRATEGY_NAMES}
     per_strategy: Counter = Counter()
-    for strategy, trace in sessions:
-        before = sum(ops.values())
-        sys.settrace(tracer)
-        try:
-            res = run_session(script, trace, strategy, config, models)
-        finally:
-            sys.settrace(None)
-        per_strategy[strategy.name] += sum(ops.values()) - before
-        utilities[strategy.name].append(res.utility)
+    for ref in traces:
+        finishes = {}
+        for strategy in strategies:
+            before = sum(ops.values())
+            sys.settrace(tracer)
+            try:
+                res = run_session(script, ref.trace, strategy, config, models,
+                                  finishes=finishes)
+            finally:
+                sys.settrace(None)
+            per_strategy[strategy.name] += sum(ops.values()) - before
+            utilities[strategy.name].append(res.utility)
     utility = 0.0
     for name in STRATEGY_NAMES:
         for u in utilities[name]:
@@ -95,7 +100,7 @@ def main(argv=None) -> int:
     per_module: Counter = Counter()
     for filename, n in ops.items():
         per_module[_module(filename)] += n
-    print(f"sessions {len(sessions)}")
+    print(f"sessions {len(traces) * len(strategies)}")
     print(f"opcodes {sum(per_module.values())}")
     for name, n in per_module.most_common():
         print(f"  {name} {n}")

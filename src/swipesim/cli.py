@@ -214,6 +214,8 @@ def _scripts_to_dict(scripts) -> dict:
 def _build_scripts(args, grouped, n_scripts: int) -> list[SessionScript]:
     if args.scripts:
         return _read_input("scripts", args.scripts, _scripts, dict)
+    if n_scripts < 1:
+        raise _CliError("--n-scripts must be >= 1")
     catalog = (_read_input("catalog", args.catalog, _catalog, list)
                if args.catalog else default_catalog(args.seed))
     rng = random.Random(f"scripts:{args.seed}")
@@ -267,6 +269,10 @@ def _build_traces(args, scenarios, n_traces: int, duration_s: float) -> list[Tra
             raise _CliError(f"traces {args.traces}: no trace labelled with "
                             f"scenario {kinds}")
         return refs
+    if CUSTOM_SCENARIO in scenarios:
+        raise _CliError(f"scenario {CUSTOM_SCENARIO!r} needs --traces")
+    if n_traces < 1:
+        raise _CliError("--n-traces must be >= 1")
     refs = []
     for kind in scenarios:
         for i in range(n_traces):

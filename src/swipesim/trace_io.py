@@ -1,24 +1,23 @@
 """Throughput and behavior trace parsing, synthetic scenarios, and the
 piecewise-constant channel model.
 
-Throughput CSV: header ``timestamp_s,bandwidth_kbps`` (header optional on
-input), one sample per row, finite timestamps strictly increasing from 0,
-finite non-negative bandwidths. The bandwidth holds constant from each
-timestamp until the next; the final sample extends forever. A
-:class:`ThroughputTrace` holds the samples as two columns, the timestamps
-and the bandwidths. The parser converts a file's whole body in one pass,
-checks the two columns as lists of floats and packs them into
-``array('d')``, 8 bytes a value; it walks the file line by line only to
-name the line of an error. :func:`download_finish_time` reads a
-download's first two segments by index and drains the rest through column
-iterators positioned with ``__setstate__``.
+Throughput CSV: header ``timestamp_s,bandwidth_kbps``, one sample per row,
+finite timestamps strictly increasing from 0, finite non-negative
+bandwidths. The bandwidth holds constant from each timestamp until the
+next; the final sample extends forever. A :class:`ThroughputTrace` holds
+the samples as two columns, which the parser packs into ``array('d')``, 8
+bytes a value. :func:`download_finish_time` reads a download's first two
+segments by index and drains the rest through column iterators positioned
+with ``__setstate__``.
 
-Behavior CSV: header ``trace_id,category,total_chunks,swipe_chunk``
-(header optional on input), one viewing per row; fields are stripped of
-whitespace, the two counts are integers with 1 <= swipe_chunk <=
-total_chunks. The parser converts the body in bulk, a block of lines at a
-time, and walks a rejected file line by line only to name its first bad
-line.
+Behavior CSV: header ``trace_id,category,total_chunks,swipe_chunk``, one
+viewing per row; fields are stripped of whitespace, the two counts are
+integers with 1 <= swipe_chunk <= total_chunks.
+
+One reader, :func:`_read_csv`, serves both formats: the header is
+optional, blank lines are skipped, and the data lines are converted in
+bulk, a block of lines at a time. Only a rejected file is walked line by
+line, to name its first bad line.
 """
 from __future__ import annotations
 
@@ -26,9 +25,10 @@ import math
 import random
 from array import array
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import FrozenInstanceError
 from itertools import islice, repeat
-from operator import contains as _contains, itemgetter, le as _le, lt as _lt
+from operator import contains as _contains, le as _le, lt as _lt
 from typing import Iterable
 
 THROUGHPUT_HEADER = "timestamp_s,bandwidth_kbps"
@@ -168,74 +168,83 @@ class ThroughputTrace:
         return self._bws[self.segment_index(t)]
 
 
-def _sample_lines(lines):
-    """``(lineno, stripped line)`` of each line that holds a sample: the
-    per-line reading of the format, walked only to name the line of a
-    rejected file."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.replace(" ", "") == THROUGHPUT_HEADER:
-            continue
-        yield lineno, line
+# data lines of a CSV converted per bulk pass; the pass's field lists, and
+# so peak memory, grow with it
+_CSV_BLOCK = 4096
 
 
-def _raise_line_error(lines):
-    for lineno, line in _sample_lines(lines):
-        parts = line.split(",")
-        if len(parts) != 2:
+def _read_csv(text: str, header: str, n_fields: int, convert, walk):
+    """What ``convert`` makes of the data lines of ``text``: its non-blank
+    lines, less a first line that reads as ``header`` without spaces.
+    ``convert`` gets them unstripped, as an iterator of blocks of up to
+    ``_CSV_BLOCK`` lines, and raises ``ValueError`` if a line breaks a rule.
+    The data lines are then walked once, each stripped and split at commas,
+    to report the first with other than ``n_fields`` fields or that
+    ``walk(lineno, fields)`` rejects; a :class:`TraceSampleError` is
+    reported at the line of its sample."""
+    lines = text.splitlines()
+    start = 1 if lines and lines[0].strip().replace(" ", "") == header else 0
+    body = list(filter(str.strip, islice(lines, start, None)))
+    del lines
+    try:
+        return convert(body[i:i + _CSV_BLOCK]
+                       for i in range(0, len(body), _CSV_BLOCK))
+    except ValueError as exc:
+        error = exc
+    del body
+    sample = error.args[0] if isinstance(error, TraceSampleError) else None
+    numbered = enumerate(map(str.strip, text.splitlines()), start=1)
+    data = ((lineno, line) for lineno, line in numbered
+            if line and lineno > start)
+    for index, (lineno, line) in enumerate(data):
+        fields = line.split(",")
+        if len(fields) != n_fields:
             raise TraceFormatError(
-                f"line {lineno}: expected 2 fields, got {len(parts)}") from None
-        try:
-            float(parts[0]), float(parts[1])
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: non-numeric field") from None
+                f"line {lineno}: expected {n_fields} fields, got {len(fields)}")
+        walk(lineno, fields)
+        if index == sample:
+            raise TraceFormatError(f"line {lineno}: {error.args[1]}")
+    raise error
+
+
+def _convert_samples(blocks) -> ThroughputTrace:
+    """The trace of the lines in ``blocks``: each block's lines are joined
+    with commas, split and mapped through ``float`` into two float lists,
+    which ``ThroughputTrace._from_floats`` checks and packs."""
+    starts, bws = [], []
+    for lines in blocks:
+        fields = ",".join(lines).split(",")
+        # every line holds a comma and there are two fields a line, so
+        # every line holds exactly one
+        if (not all(map(_contains, lines, repeat(",")))
+                or len(fields) != 2 * len(lines)):
+            raise ValueError
+        nums = list(map(float, fields))
+        starts += nums[0::2]
+        bws += nums[1::2]
+    return ThroughputTrace._from_floats(starts, bws)
+
+
+def _check_sample_line(lineno: int, fields: list[str]):
+    try:
+        float(fields[0]), float(fields[1])
+    except ValueError:
+        raise TraceFormatError(f"line {lineno}: non-numeric field") from None
 
 
 def parse_throughput_trace(text: str) -> ThroughputTrace:
     """Parse a throughput CSV (see module docstring for the format); a
-    sample that :class:`ThroughputTrace` rejects is reported at its line.
-
-    The whole body is converted in one pass: its sample lines, each holding
-    exactly one comma, are joined with commas, split and mapped through
-    ``float``. The two float columns are checked as lists and packed into
-    ``array('d')``. Each intermediate list is dropped once no later step
-    needs it; the lines go before the fields are converted, so a rejected
-    file is split into lines again and walked line by line for its message.
-    """
-    lines = text.splitlines()
-    body = lines
-    if lines and lines[0].strip().replace(" ", "") == THROUGHPUT_HEADER:
-        body = lines[1:]
-    body = list(filter(str.strip, body))
-    # every line holds a comma and there are two fields a line, so every
-    # line holds exactly one
-    one_comma = all(map(_contains, body, repeat(",")))
-    n_lines = len(body)
-    fields = ",".join(body).split(",") if body else []
-    del lines, body
-    try:
-        if not one_comma or len(fields) != 2 * n_lines:
-            raise ValueError
-        nums = list(map(float, fields))
-    except ValueError:
-        _raise_line_error(text.splitlines())
-        raise  # unreachable: the walk rejects the same lines
-    del fields
-    starts, bws = nums[0::2], nums[1::2]
-    del nums
-    try:
-        return ThroughputTrace._from_floats(starts, bws)
-    except TraceSampleError as exc:
-        index, rule = exc.args
-        lineno, _ = next(islice(_sample_lines(text.splitlines()), index, None))
-        raise TraceFormatError(f"line {lineno}: {rule}") from None
+    sample that :class:`ThroughputTrace` rejects is reported at its line."""
+    return _read_csv(text, THROUGHPUT_HEADER, 2, _convert_samples,
+                     _check_sample_line)
 
 
 def _num(x) -> str:
+    """``x`` as the parser reads it back: an integral value as an integer,
+    any other as the shortest repr of its float, so a float or a dyadic
+    ``Fraction`` round-trips exactly."""
     xi = int(x)
-    return str(xi) if x == xi else repr(x)
+    return str(xi) if x == xi else repr(float(x))
 
 
 def serialize_throughput_trace(trace: ThroughputTrace) -> str:
@@ -244,17 +253,16 @@ def serialize_throughput_trace(trace: ThroughputTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-class BehaviorTrace(tuple):
+class BehaviorTrace(namedtuple(
+        "BehaviorTrace", ("trace_id", "category", "total_chunks", "swipe_chunk"))):
     """One observed viewing: the chunk at which the user swiped away.
 
-    A tuple of its four fields, so it equals the plain tuple of them and
-    assigning to it raises ``AttributeError``. The constructor checks the
-    chunk counts; :func:`parse_behavior_traces` checks a whole block of
-    rows in bulk and then builds each with ``tuple.__new__``.
+    A named tuple whose constructor checks the chunk counts; ``_make`` and
+    so ``_replace`` call it. :func:`parse_behavior_traces` checks a whole
+    block of rows in bulk and then builds each with ``tuple.__new__``.
     """
 
     __slots__ = ()
-    __match_args__ = ("trace_id", "category", "total_chunks", "swipe_chunk")
 
     def __new__(cls, trace_id: str, category: str, total_chunks: int,
                 swipe_chunk: int):
@@ -266,87 +274,48 @@ class BehaviorTrace(tuple):
                 f"range 1..{total_chunks}")
         return tuple.__new__(cls, (trace_id, category, total_chunks, swipe_chunk))
 
-    trace_id = property(itemgetter(0))
-    category = property(itemgetter(1))
-    total_chunks = property(itemgetter(2))
-    swipe_chunk = property(itemgetter(3))
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return ("{}(trace_id={!r}, category={!r}, total_chunks={!r}, "
-                "swipe_chunk={!r})").format(type(self).__name__, *self)
+    @classmethod
+    def _make(cls, iterable) -> "BehaviorTrace":
+        return cls(*iterable)
 
 
-# lines of a behavior CSV converted per bulk pass; the pass's field lists,
-# and so peak memory, grow with it
-_BEHAVIOR_BLOCK = 4096
+def _convert_behavior(blocks) -> list[BehaviorTrace]:
+    """The rows of the lines in ``blocks``: one pass over a block per rule.
+    Equal categories share one string."""
+    rows: list[BehaviorTrace] = []
+    categories: dict[str, str] = {}
+    for lines in blocks:
+        # three commas a line, so four fields
+        if list(map(str.count, lines, repeat(","))).count(3) != len(lines):
+            raise ValueError
+        fields = list(map(str.strip, ",".join(lines).split(",")))
+        totals = list(map(int, fields[2::4]))
+        swipes = list(map(int, fields[3::4]))
+        # 1 <= swipe <= total, which implies total >= 1
+        if min(swipes) < 1 or not all(map(_le, swipes, totals)):
+            raise ValueError
+        cats = fields[1::4]
+        rows += map(tuple.__new__, repeat(BehaviorTrace), zip(
+            fields[0::4], map(categories.setdefault, cats, cats), totals, swipes))
+    return rows
 
 
-def _behavior_rows(lines, rows: list, categories: dict):
-    """Append the rows of ``lines``, a block of the body, to ``rows``: one
-    pass over the block per rule, and ``ValueError`` if any line breaks one.
-    Equal categories share the string ``categories`` maps them to."""
-    lines = list(filter(str.strip, lines))
-    if not lines:
-        return
-    # three commas a line, so four fields
-    if list(map(str.count, lines, repeat(","))).count(3) != len(lines):
-        raise ValueError
-    fields = list(map(str.strip, ",".join(lines).split(",")))
-    totals = list(map(int, fields[2::4]))
-    swipes = list(map(int, fields[3::4]))
-    # 1 <= swipe <= total, which implies total >= 1
-    if min(swipes) < 1 or not all(map(_le, swipes, totals)):
-        raise ValueError
-    cats = fields[1::4]
-    rows += map(tuple.__new__, repeat(BehaviorTrace), zip(
-        fields[0::4], map(categories.setdefault, cats, cats), totals, swipes))
-
-
-def _raise_behavior_line_error(lines):
-    """The per-line reading of the format, walked only to name the first
-    bad line of a rejected file."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.replace(" ", "") == BEHAVIOR_HEADER:
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 4:
-            raise TraceFormatError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        try:
-            total, swipe = int(parts[2]), int(parts[3])
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: non-integer chunk count") from None
-        try:
-            BehaviorTrace(parts[0], parts[1], total, swipe)
-        except ValueError as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from None
+def _check_behavior_line(lineno: int, fields: list[str]):
+    trace_id, category, total, swipe = map(str.strip, fields)
+    try:
+        total, swipe = int(total), int(swipe)
+    except ValueError:
+        raise TraceFormatError(f"line {lineno}: non-integer chunk count") from None
+    try:
+        BehaviorTrace(trace_id, category, total, swipe)
+    except ValueError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from None
 
 
 def parse_behavior_traces(text: str) -> list[BehaviorTrace]:
-    """Parse a behavior CSV (see module docstring) into one trace per row.
-
-    The body is converted in blocks of lines, each by bulk passes: its
-    lines are joined with commas, split, stripped, and the two count
-    columns mapped through ``int``. Only a rejected file is walked line by
-    line, for its message.
-    """
-    lines = text.splitlines()
-    start = 0
-    if lines and lines[0].strip().replace(" ", "") == BEHAVIOR_HEADER:
-        start = 1
-    rows: list[BehaviorTrace] = []
-    categories: dict[str, str] = {}
-    try:
-        for i in range(start, len(lines), _BEHAVIOR_BLOCK):
-            _behavior_rows(lines[i:i + _BEHAVIOR_BLOCK], rows, categories)
-    except ValueError:
-        _raise_behavior_line_error(lines)
-        raise  # unreachable: the walk rejects the same lines
+    """Parse a behavior CSV (see module docstring) into one trace per row."""
+    rows = _read_csv(text, BEHAVIOR_HEADER, 4, _convert_behavior,
+                     _check_behavior_line)
     if not rows:
         raise TraceFormatError("empty behavior trace file")
     return rows

@@ -150,7 +150,7 @@ class TestRun:
             capsys.readouterr().err)
         # without --traces there is no custom trace to generate
         assert run_cli("run", "--seed", "5", "--scenario", "custom") == 1
-        assert "unknown scenario 'custom'" in capsys.readouterr().err
+        assert "scenario 'custom' needs --traces" in capsys.readouterr().err
 
     def test_golden_output(self, capsys):
         # pins one session's per-video results, the only output that prints
@@ -261,7 +261,7 @@ class TestCompare:
         # without --traces there is no custom trace to generate
         assert run_cli("compare", "--strategy", "fixb", "--scenario", "custom",
                        "--out", str(tmp_path / "gen")) == 1
-        assert "unknown scenario 'custom'" in capsys.readouterr().err
+        assert "scenario 'custom' needs --traces" in capsys.readouterr().err
 
     def test_config_file_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -366,6 +366,36 @@ def test_trace_dir_labels_scenario_by_whole_token(tmp_path):
     labels = {ref.trace_id: ref.scenario for ref in _load_trace_dir(tmp_path)}
     assert labels == {"trace_highway_lowband": "custom",
                       "trace_low_s9_000": "low", "medium_03": "medium"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--n-scripts", "0"], "--n-scripts must be >= 1"),
+    (["compare", "--n-scripts", "-1"], "--n-scripts must be >= 1"),
+    (["compare", "--n-traces", "0"], "--n-traces must be >= 1"),
+    (["compare", "--scenario", "high,custom"], "scenario 'custom' needs --traces"),
+    (["run", "--scenario", "custom"], "scenario 'custom' needs --traces"),
+], ids=["n-scripts-0", "n-scripts-negative", "n-traces-0", "compare-custom",
+        "run-custom"])
+def test_generated_input_option_is_checked(tmp_path, capsys, argv, message):
+    # the message names the option, not the empty batch it would make
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--duration", "10", "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_counts_are_not_checked_where_files_replace_them(tmp_path):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    (traces / "high_00.csv").write_text(serialize_throughput_trace(
+        generate_scenario("high", 1, 60.0)))
+    assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                   "--n-scripts", "1", "--n-traces", "0", "--traces", str(traces),
+                   "--out", str(tmp_path / "out")) == 0
+    assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                   "--n-scripts", "0", "--n-traces", "1", "--duration", "10",
+                   "--scripts", str(tmp_path / "out" / "scripts.json"),
+                   "--out", str(tmp_path / "again")) == 0
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -86,6 +86,25 @@ class TestParseThroughput:
         again = parse_throughput_trace(serialize_throughput_trace(trace))
         assert again.samples == trace.samples
 
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 10**6), st.integers(0, 10**9),
+                              st.integers(0, 20), st.integers(0, 40)),
+                    min_size=1, max_size=12))
+    def test_dyadic_fraction_roundtrip_is_exact(self, steps):
+        samples, t = [], Fraction(0)
+        for step, bw, k, j in steps:
+            samples.append((t, Fraction(bw, 2 ** j)))
+            t += Fraction(step, 2 ** k)
+        trace = ThroughputTrace(samples)
+        again = parse_throughput_trace(serialize_throughput_trace(trace))
+        assert again == trace and again.samples == tuple(samples)
+
+    def test_fraction_serializes_as_its_float(self):
+        trace = ThroughputTrace([(0, Fraction(1, 3)), (Fraction(3, 2), 2)])
+        text = serialize_throughput_trace(trace)
+        assert text == f"{THROUGHPUT_HEADER}\n0,0.3333333333333333\n1.5,2\n"
+        assert parse_throughput_trace(text).samples == ((0.0, 1 / 3), (1.5, 2.0))
+
 
 class TestParseBehavior:
     def test_basic(self):
@@ -145,6 +164,26 @@ class TestBehaviorTraceRow:
         with pytest.raises(ValueError) as exc:
             BehaviorTrace(*fields)
         assert str(exc.value) == message
+        # so do the named tuple's other ways to build a row
+        with pytest.raises(ValueError) as exc:
+            BehaviorTrace._make(fields)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            BehaviorTrace("t", "c", 10, 5)._replace(total_chunks=fields[2],
+                                                   swipe_chunk=fields[3])
+        assert str(exc.value) == message
+
+    def test_named_tuple_helpers(self):
+        row = BehaviorTrace._make(["t1", "cat_a", 10, 5])
+        assert type(row) is BehaviorTrace and row == ("t1", "cat_a", 10, 5)
+        assert BehaviorTrace._fields == (
+            "trace_id", "category", "total_chunks", "swipe_chunk")
+        assert row._asdict() == {"trace_id": "t1", "category": "cat_a",
+                                 "total_chunks": 10, "swipe_chunk": 5}
+        again = row._replace(swipe_chunk=10)
+        assert type(again) is BehaviorTrace and again == ("t1", "cat_a", 10, 10)
+        with pytest.raises(ValueError, match="unexpected field names"):
+            row._replace(extra=1)
 
     def test_copies_and_pickles_by_value(self):
         row = BehaviorTrace("t1", "cat_a", 10, 5)
@@ -511,7 +550,7 @@ class TestPackedColumns:
         """Two packed doubles are 16 bytes a sample; two float objects and
         two tuple slots would be 64."""
         n = 30_000
-        text = "\n".join(f"{i / 100!r},{1000.0 + i % 7!r}" for i in range(n)) + "\n"
+        text = _fine_trace_text(n)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -521,6 +560,24 @@ class TestPackedColumns:
             tracemalloc.stop()
         assert len(trace.samples) == n
         assert held <= 24 * n, f"{held / n:.1f} bytes a sample"
+
+    def test_parsing_peaks_at_most_180_bytes_a_sample(self):
+        """At its peak the parse holds the lines, two float columns and one
+        block's fields, never the fields of the whole file."""
+        n = 30_000
+        text = _fine_trace_text(n)
+        tracemalloc.start()
+        try:
+            parse_throughput_trace(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 180 * n, f"{peak / n:.1f} bytes a sample"
+
+
+def _fine_trace_text(n):
+    """``n`` samples 10 ms apart, as the lines of a fine-grained trace."""
+    return "\n".join(f"{i / 100!r},{1000.0 + i % 7!r}" for i in range(n)) + "\n"
 
 
 def _reference_trace(samples):
@@ -662,7 +719,15 @@ class TestParseMatchesReference:
         (29_999, "299.97,nan", "line 29999: bandwidth must be finite and non-negative"),
         (15_000, "149.97,1500.0",
          "line 15000: timestamps must be finite and strictly increasing"),
-    ], ids=["3-fields", "nan", "repeated-timestamp"])
+        # with the header, the first block holds lines 2-4097
+        (4_097, "40.95,1500.0,7", "line 4097: expected 2 fields, got 3"),
+        (4_098, "40.96,abc", "line 4098: non-numeric field"),
+        (4_097, "40.95,-1", "line 4097: bandwidth must be finite and non-negative"),
+        (4_098, "40.95,1500.0",
+         "line 4098: timestamps must be finite and strictly increasing"),
+    ], ids=["3-fields", "nan", "repeated-timestamp", "block-end-3-fields",
+            "block-start-non-numeric", "block-end-negative",
+            "block-start-repeated-timestamp"])
     def test_large_file_error_names_its_line(self, lineno, line, message):
         lines = [THROUGHPUT_HEADER] + [f"{i / 100!r},{1000.0 + i % 7!r}"
                                        for i in range(29_999)]
@@ -803,7 +868,14 @@ class TestParseBehaviorMatchesReference:
         (59_999, "b59998,c02,40.5,3", "line 59999: non-integer chunk count"),
         (30_000, "b29999,c11,10,11",
          "line 30000: trace b29999: swipe_chunk 11 out of range 1..10"),
-    ], ids=["5-fields", "non-integer", "swipe-beyond-total"])
+        # with the header, the first block holds lines 2-4097
+        (4_097, "b04095,c03,40,3,9", "line 4097: expected 4 fields, got 5"),
+        (4_098, "b04096,c04,x,3", "line 4098: non-integer chunk count"),
+        (4_097, "b04095,c03,10,0",
+         "line 4097: trace b04095: swipe_chunk 0 out of range 1..10"),
+        (4_098, "b04096,c04,0,1", "line 4098: trace b04096: total_chunks must be >= 1"),
+    ], ids=["5-fields", "non-integer", "swipe-beyond-total", "block-end-5-fields",
+            "block-start-non-integer", "block-end-swipe-0", "block-start-total-0"])
     def test_large_file_error_names_its_line(self, lineno, line, message):
         lines = [BEHAVIOR_HEADER] + [f"b{i:05d},c{i % 12:02d},{5 + i % 86},{1 + i % 5}"
                                      for i in range(59_999)]

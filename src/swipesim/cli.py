@@ -148,10 +148,14 @@ def _video_from_dict(entry) -> VideoSpec:
         raise ValueError("expected a JSON object")
     duration, levels = entry["chunk_duration_s"], entry["ladder_kbps"]
     try:
+        if isinstance(duration, bool):
+            raise TypeError  # float() would read a JSON true as 1.0
         duration = float(duration)
     except (TypeError, ValueError):
         raise ValueError("field 'chunk_duration_s': expected a number") from None
     try:
+        if any(isinstance(lv, bool) for lv in levels):
+            raise TypeError
         ladder = BitrateLadder(tuple(levels))
     except TypeError:
         raise ValueError("field 'ladder_kbps': expected a list of numbers") from None
@@ -181,12 +185,15 @@ def _scripts(data) -> list[SessionScript]:
              _each("catalog entry", data["catalog"], _video_from_dict)}
 
     def script(entry) -> SessionScript:
-        unknown = [vid for vid in entry["videos"] if vid not in by_id]
+        ids = entry["videos"]
+        if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
+            raise ValueError("field 'videos': expected a list of video ids")
+        unknown = [vid for vid in ids if vid not in by_id]
         if unknown:
             raise ValueError(f"video id {unknown[0]!r} is not in its catalog")
         return SessionScript(
             script_id=str(entry["id"]),
-            videos=tuple(by_id[vid] for vid in entry["videos"]),
+            videos=tuple(by_id[vid] for vid in ids),
             swipe_points=tuple(json_count(k, "swipe_points")
                                for k in entry["swipe_points"]))
 

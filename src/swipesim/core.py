@@ -206,7 +206,8 @@ class SessionConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not isinstance(getattr(self, f.name), Real):
+            v = getattr(self, f.name)
+            if f.type == "float" and (isinstance(v, bool) or not isinstance(v, Real)):
                 raise ValueError(f"{f.name} must be a number")
         for name in ("w1", "w2", "w3", "w4", "alpha1", "alpha2"):
             if not 0 <= getattr(self, name) < math.inf:

@@ -171,6 +171,8 @@ class _Simulation:
     ``views`` holds one PlayerView per script video, the only download
     count; the strategy sees the window of them from ``current_index``.
     ``bitrates`` and ``stalls`` keep each video's rungs and stalls to score.
+    ``watched_kbit`` and ``waste_kbit`` sum each video's chunk sizes as they
+    land, in chunk order, up to and past its swipe point.
     """
 
     def __init__(self, script: SessionScript, trace: ThroughputTrace,
@@ -188,6 +190,8 @@ class _Simulation:
         self.play_chunk = 1
         self.chunk_begin_s = 0.0
         self.bitrates: list[list[int]] = [[] for _ in script.videos]
+        self.watched_kbit = [0] * self.n_videos
+        self.waste_kbit = [0] * self.n_videos
         # stall seconds per watched chunk: the playhead stops at the swipe
         self.stalls = [[0.0] * sp for sp in script.swipe_points]
         self.history = ThroughputHistory(config.window_chunks)
@@ -228,45 +232,6 @@ class _Simulation:
         """Record the start of the playhead chunk, which starts only once;
         call only while recording."""
         self.timeline.append(("play", self.wall_clock_s, self.current_index, self.play_chunk))
-
-    # -- decision points --------------------------------------------------
-
-    def _build_ctx(self) -> StrategyContext:
-        ctx = self._ctx
-        view = ctx.players[0]
-        n = view.downloaded
-        # until playback starts the playhead waits at chunk 1
-        ctx.buffered = buffered = n - (self.play_chunk - 1)
-        offset = 0.0
-        if self.playback_started and self.play_chunk <= n:
-            t0 = view.spec.chunk_duration_s
-            offset = (self.wall_clock_s - self.chunk_begin_s) / t0
-        ctx.lead = buffered - offset
-        return ctx
-
-    def _validate_download(self, vi, rate):
-        """The one check of a strategy's download request against the live
-        players; returns the size in kilobits of video ``vi``'s next chunk
-        at ``rate``."""
-        if not self.current_index <= vi < self._win_hi:
-            raise SimulationError(
-                f"strategy targeted video {vi} outside the window")
-        view = self.views[vi]
-        if view.downloaded >= view.chunk_count:
-            raise SimulationError(f"strategy targeted completed video {vi}")
-        # the chunk-size table doubles as the ladder check
-        try:
-            return view.spec.chunk_kbit_by_rate[rate]
-        except (KeyError, TypeError):
-            raise SimulationError(
-                f"strategy picked off-ladder bitrate {rate}") from None
-
-    def _idle_error(self, k) -> SimulationError:
-        """A sleep while the video on screen waits for its chunk ``k``: no
-        download would ever come, so the session would never end."""
-        return SimulationError(
-            f"strategy idled while video {self.current_index} waits for "
-            f"chunk {k}")
 
     # -- playback ----------------------------------------------------------
 
@@ -329,87 +294,109 @@ class _Simulation:
         self.play_chunk = 1
         self._rebuild_window()
 
-    def _apply_download(self, vi, rate, size_kbit, elapsed_s):
-        # checked when the strategy issued it, by _validate_download
-        self.bitrates[vi].append(rate)
-        history = self.history
-        history.record_download(size_kbit, elapsed_s)
-        # the estimates change only when a download lands, so set them here
-        ctx = self._ctx
-        ctx.c_ave = history.window_mean()
-        ctx.c_pred = history.predict(self.config.alpha1, self.config.alpha2)
-        ctx.r_last = rate
-        # a video that departed with this chunk in flight keeps its view
-        # current too; no strategy reads it again
-        view = self.views[vi]
-        view.downloaded = k = view.downloaded + 1
-        view.last_bitrate = rate
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.append(("dl_done", self.wall_clock_s, vi, k))
-        if (self.playback_started and vi == self.current_index
-                and k == self.play_chunk):
-            self.chunk_begin_s = self.wall_clock_s
-            if timeline is not None:
-                self._emit_play()
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SessionResult:
-        """Play the session out, opening with the engine's own download."""
+        """Play the session out from the engine's own first download. Each
+        step reads the playhead into the context, decides, checks the action,
+        then sleeps, or times a download, plays out its flight and lands it."""
         views = self.views
+        swipe_points = self.script.swipe_points
+        watched_kbit = self.watched_kbit
+        waste_kbit = self.waste_kbit
+        history = self.history
         trace = self.trace
         memo = self.finishes
         timeline = self.timeline
         decide = self.strategy.decide
-        build_ctx = self._build_ctx
         advance = self._advance
         finish_time = download_finish_time
-        t_sleep = self.config.t_sleep_s
+        cfg = self.config
         ctx = self._ctx
         # the engine's own first download; decisions start once a chunk lands
         action = Download(0, views[0].ladder.lowest, threshold=1)
         while not self.done:
-            if ctx.r_last is not None:
-                action = decide(build_ctx())
-                ctx.rebuffer_flag = False
             now = self.wall_clock_s
+            if ctx.r_last is not None:
+                view = ctx.players[0]
+                n = view.downloaded
+                # until playback starts the playhead waits at chunk 1
+                ctx.buffered = buffered = n - (self.play_chunk - 1)
+                offset = 0.0
+                if self.playback_started and self.play_chunk <= n:
+                    offset = ((now - self.chunk_begin_s)
+                              / view.spec.chunk_duration_s)
+                ctx.lead = buffered - offset
+                action = decide(ctx)
+                ctx.rebuffer_flag = False
             if isinstance(action, Download):
                 vi = action.video_index
                 rate = action.bitrate_kbps
-                size = self._validate_download(vi, rate)
+                if not self.current_index <= vi < self._win_hi:
+                    raise SimulationError(
+                        f"strategy targeted video {vi} outside the window")
+                view = views[vi]
+                n = view.downloaded
+                if n >= view.chunk_count:
+                    raise SimulationError(
+                        f"strategy targeted completed video {vi}")
+                # the chunk-size table doubles as the ladder check
+                try:
+                    size = view.spec.chunk_kbit_by_rate[rate]
+                except (KeyError, TypeError):
+                    raise SimulationError(
+                        f"strategy picked off-ladder bitrate {rate}") from None
                 key = (now, size, now.__class__, size.__class__)
                 finish = memo.get(key)
                 if finish is None:
                     finish = memo[key] = finish_time(trace, now, size)
                 if math.isinf(finish):
-                    raise StarvationError(vi, views[vi].downloaded + 1, now)
+                    raise StarvationError(vi, n + 1, now)
                 if timeline is not None:
-                    n = views[vi].downloaded
-                    buffered = (ctx.buffered if vi == self.current_index
-                                else n)
+                    buffered = ctx.buffered if vi == self.current_index else n
                     timeline.append(("dl_start", now, vi, n + 1, rate,
                                      buffered, action.threshold))
                 # non-preemptive: play out the flight, then land the chunk
                 advance(finish)
                 if self.done:
                     break
-                self._apply_download(vi, rate, size, finish - now)
+                self.bitrates[vi].append(rate)
+                history.record_download(size, finish - now)
+                # the estimates change only when a download lands
+                ctx.c_ave = history.window_mean()
+                ctx.c_pred = history.predict(cfg.alpha1, cfg.alpha2)
+                ctx.r_last = rate
+                # a departed video's view stays current too; none reads it
+                view.downloaded = k = n + 1
+                view.last_bitrate = rate
+                if k <= swipe_points[vi]:
+                    watched_kbit[vi] += size
+                else:
+                    waste_kbit[vi] += size
+                if timeline is not None:
+                    timeline.append(("dl_done", self.wall_clock_s, vi, k))
+                if (self.playback_started and vi == self.current_index
+                        and k == self.play_chunk):
+                    self.chunk_begin_s = self.wall_clock_s
+                    if timeline is not None:
+                        self._emit_play()
                 continue
             if not isinstance(action, Sleep):
                 raise SimulationError(f"invalid strategy action {action!r}")
             # wake at the sleep interval or the next chunk-playback boundary
-            wake = now + t_sleep
+            wake = now + cfg.t_sleep_s
             view = views[self.current_index]
             n = view.downloaded
+            # a sleep while the playhead waits (for chunk n + 1) never ends
+            if n < (self.play_chunk if self.playback_started
+                    else self._startup_chunks):
+                raise SimulationError(
+                    f"strategy idled while video {self.current_index} "
+                    f"waits for chunk {n + 1}")
             if self.playback_started:
-                if self.play_chunk > n:
-                    raise self._idle_error(self.play_chunk)
                 nxt = self.chunk_begin_s + view.spec.chunk_duration_s
                 if nxt < wake:
                     wake = nxt
-            elif n < self._startup_chunks:
-                raise self._idle_error(n + 1)
             if timeline is not None:
                 timeline.append(("sleep", now, wake))
             advance(wake)
@@ -422,21 +409,20 @@ class _Simulation:
         videos = []
         qoes = []
         costs = []
-        for i, (spec, watched, rungs, stalls) in enumerate(zip(
-                self.script.videos, self.script.swipe_points, self.bitrates,
-                self.stalls)):
+        for i, (spec, watched, rungs, stalls, watched_kbit, waste_kbit) in (
+                enumerate(zip(self.script.videos, self.script.swipe_points,
+                              self.bitrates, self.stalls, self.watched_kbit,
+                              self.waste_kbit))):
             bitrates = tuple(rungs)
             rebuf = tuple(stalls)
-            seen = bitrates[:watched]
-            t0 = spec.chunk_duration_s
-            qoe = metrics.qoe_video(seen, rebuf, weights, quality_metric)
+            qoe = metrics.qoe_video(bitrates[:watched], rebuf, weights,
+                                    quality_metric)
             video = VideoResult(
                 video_id=spec.id, video_index=i, category=spec.category,
                 chunk_count=spec.chunk_count, watched_chunks=watched,
                 downloaded_chunks=len(bitrates), bitrates=bitrates,
-                rebuffer_s=rebuf, qoe=qoe,
-                watched_kbit=metrics.total_kilobits(seen, t0),
-                waste_kbit=metrics.total_kilobits(bitrates[watched:], t0))
+                rebuffer_s=rebuf, qoe=qoe, watched_kbit=watched_kbit,
+                waste_kbit=waste_kbit)
             videos.append(video)
             qoes.append(qoe)
             costs.append(video.cost_mbit)

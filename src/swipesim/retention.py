@@ -41,8 +41,8 @@ class RetentionModel:
     def __post_init__(self):
         if len(self.mass) != BIN_COUNT:
             raise ValueError(f"mass vector must have {BIN_COUNT} bins")
-        if any(not isinstance(m, Real) or not 0 <= m < math.inf
-               for m in self.mass):
+        if any(isinstance(m, bool) or not isinstance(m, Real)
+               or not 0 <= m < math.inf for m in self.mass):
             raise ValueError("mass entries must be non-negative numbers")
         total = sum(self.mass)
         if abs(total - 1.0) > 1e-9:

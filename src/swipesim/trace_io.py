@@ -257,15 +257,21 @@ class BehaviorTrace(namedtuple(
         "BehaviorTrace", ("trace_id", "category", "total_chunks", "swipe_chunk"))):
     """One observed viewing: the chunk at which the user swiped away.
 
-    A named tuple whose constructor checks the chunk counts; ``_make`` and
-    so ``_replace`` call it. :func:`parse_behavior_traces` checks a whole
-    block of rows in bulk and then builds each with ``tuple.__new__``.
+    A named tuple whose constructor checks the chunk counts, and that each
+    name survives a CSV row: no comma, line break or edge space. ``_make``
+    and so ``_replace`` call it. :func:`parse_behavior_traces` checks a
+    whole block of rows in bulk and then builds each with ``tuple.__new__``.
     """
 
     __slots__ = ()
 
     def __new__(cls, trace_id: str, category: str, total_chunks: int,
                 swipe_chunk: int):
+        for name in (trace_id, category):
+            if (not isinstance(name, str) or name != name.strip()
+                    or "," in name or len(name.splitlines()) > 1):
+                raise ValueError(f"trace {trace_id!r}: {name!r} must be text "
+                                 f"with no comma, line break or edge space")
         if total_chunks < 1:
             raise ValueError(f"trace {trace_id}: total_chunks must be >= 1")
         if not 1 <= swipe_chunk <= total_chunks:

@@ -5,7 +5,9 @@ Written as a single flat chronological loop with its own state bookkeeping;
 it shares only the strategy decision functions and the domain types with
 the engine. Its first download, made before any throughput sample exists,
 is its own and calls no strategy. Also holds the per-video cost and waste
-in megabits, the independent check of the engine's kilobit sums.
+in megabits, the independent check of the engine's kilobit sums: the oracle
+sizes the chunks again through ``metrics.total_kilobits``, which the engine
+does not call, since it adds up the sizes it timed as the chunks land.
 """
 import math
 

@@ -492,6 +492,19 @@ def _scripts_json(**script):
      "entry 0: bitrate ladder levels must be finite and positive"),
     ("--model", "model.json", _model_json(mass=[math.nan] + [0.01] * 99),
      "mass entries must be non-negative numbers"),
+    # a JSON true is an int and a Real to isinstance, and float() reads it
+    # as 1.0, yet it is no number
+    ("--catalog", "catalog.json", json.dumps([{**VIDEO, "ladder_kbps": [True, 1200]}]),
+     "entry 0: field 'ladder_kbps': expected a list of numbers"),
+    ("--catalog", "catalog.json", json.dumps([{**VIDEO, "chunk_duration_s": True}]),
+     "entry 0: field 'chunk_duration_s': expected a number"),
+    ("--config", "config.json", json.dumps({"w1": True}), "w1 must be a number"),
+    ("--model", "model.json", _model_json(mass=[True] + [0] * 99),
+     "mass entries must be non-negative numbers"),
+    ("--scripts", "scripts.json", _scripts_json(videos=[["v0"]]),
+     "script 0: field 'videos': expected a list of video ids"),
+    ("--scripts", "scripts.json", _scripts_json(videos="v0"),
+     "script 0: field 'videos': expected a list of video ids"),
 ], ids=["scripts-no-scripts", "script-no-swipe-points", "scripts-list",
         "swipe-point-not-int", "swipe-point-out-of-range", "model-no-mass",
         "catalog-json", "config-json", "scripts-json", "model-json",
@@ -501,7 +514,8 @@ def _scripts_json(**script):
         "swipe-point-bool", "trace-count-fraction", "trace-count-bool",
         "mass-not-a-list", "mass-entry-type", "config-field-type", "chunk-duration-type",
         "ladder-type", "chunk-duration-nan", "chunk-duration-inf", "ladder-inf",
-        "mass-entry-nan"])
+        "mass-entry-nan", "ladder-bool", "chunk-duration-bool", "config-field-bool",
+        "mass-entry-bool", "script-videos-nested", "script-videos-string"])
 def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
                                           text, where):
     path = tmp_path / name

@@ -28,6 +28,7 @@ from swipesim.engine import (
     sample_script,
     sample_swipe_point,
 )
+from swipesim.metrics import total_kilobits
 from swipesim.retention import build_model
 from swipesim.strategy import (
     STRATEGY_NAMES,
@@ -120,6 +121,34 @@ class TestConservation:
                 assert isinstance(v.cost_kbit, int)
                 assert v.cost_kbit == v.watched_kbit + v.waste_kbit
                 assert v.watched_chunks <= v.downloaded_chunks <= v.chunk_count
+
+    @pytest.mark.parametrize("t0", [0.1, 0.3, Fraction(1, 3)],
+                             ids=["0.1s", "0.3s", "fraction"])
+    @pytest.mark.parametrize("name", STRATEGY_NAMES)
+    def test_ledger_equals_the_reference_sums(self, name, t0):
+        # the engine adds each size as its chunk lands; these sizes are an
+        # int at 750 kbps and floats or Fractions at the other rungs
+        ladder = BitrateLadder((750, 1201, 1847))
+        rng = random.Random(f"{name}-{t0}")
+        types = set()
+        waste = 0
+        for trial in range(4):
+            videos = tuple(VideoSpec(f"v{i}", "cat", rng.randint(1, 12), t0,
+                                     ladder) for i in range(rng.randint(2, 6)))
+            swipes = tuple(rng.randint(1, v.chunk_count) for v in videos)
+            trace = generate_scenario(rng.choice(("high", "medium", "mixed")),
+                                      trial, 400)
+            res = run_session(SessionScript("s", videos, swipes), trace,
+                              make_strategy(name), CFG, MODEL)
+            for v in res.videos:
+                w = v.watched_chunks
+                for got, want in ((v.watched_kbit, total_kilobits(v.bitrates[:w], t0)),
+                                  (v.waste_kbit, total_kilobits(v.bitrates[w:], t0))):
+                    assert got == want and type(got) is type(want)
+                    types.add(type(got))
+                waste += v.waste_kbit > 0
+        # both kinds of size were summed, and some sessions wasted chunks
+        assert len(types) >= 2 and waste
 
 
 class TestTimelineInvariants:

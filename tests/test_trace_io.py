@@ -106,6 +106,11 @@ class TestParseThroughput:
         assert parse_throughput_trace(text).samples == ((0.0, 1 / 3), (1.5, 2.0))
 
 
+# names from the characters that a CSV row of the behavior format treats
+# specially: the comma, line breaks and whitespace
+_NAME = st.text(st.sampled_from("ab ,\t\n\r\x0b\x1c\x85\u2028"), max_size=4)
+
+
 class TestParseBehavior:
     def test_basic(self):
         rows = parse_behavior_traces("t1,cat_a,10,5")
@@ -128,6 +133,25 @@ class TestParseBehavior:
         text = "trace_id,category,total_chunks,swipe_chunk\nt1,cat_a,10,5\nt2,b,3,3\n"
         rows = parse_behavior_traces(text)
         assert serialize_behavior_traces(rows) == text
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_NAME, _NAME, st.integers(1, 50)),
+                    min_size=1, max_size=6))
+    def test_every_row_the_constructor_accepts_round_trips(self, drawn):
+        rows = []
+        for trace_id, category, total in drawn:
+            try:
+                rows.append(BehaviorTrace(trace_id, category, total, total))
+            except ValueError:
+                # what it rejects, a CSV row would split or change
+                row = tuple.__new__(BehaviorTrace, (trace_id, category, total, total))
+                try:
+                    back = parse_behavior_traces(serialize_behavior_traces([row]))
+                except ValueError:
+                    continue
+                assert back != [row]
+        if rows:
+            assert parse_behavior_traces(serialize_behavior_traces(rows)) == rows
 
 
 class TestBehaviorTraceRow:
@@ -171,6 +195,31 @@ class TestBehaviorTraceRow:
         with pytest.raises(ValueError) as exc:
             BehaviorTrace("t", "c", 10, 5)._replace(total_chunks=fields[2],
                                                    swipe_chunk=fields[3])
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("trace_id, category, name", [
+        ("a,b", "c", "'a,b'"),
+        ("t", "c,d", "'c,d'"),
+        ("t", "c\nd", "'c\\nd'"),
+        ("t", "c\r", "'c\\r'"),
+        ("t", "c\u2028d", "'c\\u2028d'"),
+        (" t", "c", "' t'"),
+        ("t", "c ", "'c '"),
+        ("t", "\tc", "'\\tc'"),
+        (7, "c", "7"),
+    ])
+    def test_constructor_checks_the_names(self, trace_id, category, name):
+        message = (f"trace {trace_id!r}: {name} must be text with no comma, "
+                   f"line break or edge space")
+        with pytest.raises(ValueError) as exc:
+            BehaviorTrace(trace_id, category, 10, 5)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            BehaviorTrace._make((trace_id, category, 10, 5))
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            BehaviorTrace("t", "c", 10, 5)._replace(trace_id=trace_id,
+                                                   category=category)
         assert str(exc.value) == message
 
     def test_named_tuple_helpers(self):

@@ -191,11 +191,15 @@ def _scripts(data) -> list[SessionScript]:
         unknown = [vid for vid in ids if vid not in by_id]
         if unknown:
             raise ValueError(f"video id {unknown[0]!r} is not in its catalog")
+        script_id = str(entry["id"])
+        points = entry["swipe_points"]
+        if not isinstance(points, list):
+            raise ValueError(
+                "field 'swipe_points': expected a list of chunk indices")
         return SessionScript(
-            script_id=str(entry["id"]),
+            script_id=script_id,
             videos=tuple(by_id[vid] for vid in ids),
-            swipe_points=tuple(json_count(k, "swipe_points")
-                               for k in entry["swipe_points"]))
+            swipe_points=tuple(json_count(k, "swipe_points") for k in points))
 
     scripts = _each("script", data["scripts"], script)
     if not scripts:

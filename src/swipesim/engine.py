@@ -28,7 +28,7 @@ Event semantics of one session:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Union
@@ -85,8 +85,20 @@ class TraceRef:
     trace: ThroughputTrace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VideoResult:
+    """One scored video of a session.
+
+    Slotted as :class:`~swipesim.strategy.Download` is, and for the same
+    reasons: ``__slots__`` is declared here, not by ``slots=True``, and the
+    constructor fills each field through its slot's own setter. The frozen
+    ``__setattr__`` still rejects assignment after construction.
+    """
+
+    __slots__ = ("video_id", "video_index", "category", "chunk_count",
+                 "watched_chunks", "downloaded_chunks", "bitrates",
+                 "rebuffer_s", "qoe", "watched_kbit", "waste_kbit")
+
     video_id: str
     video_index: int
     category: str
@@ -98,6 +110,27 @@ class VideoResult:
     qoe: float
     watched_kbit: Union[int, float]
     waste_kbit: Union[int, float]
+
+    def __init__(self, video_id: str, video_index: int, category: str,
+                 chunk_count: int, watched_chunks: int, downloaded_chunks: int,
+                 bitrates: tuple[int, ...], rebuffer_s: tuple[float, ...],
+                 qoe: float, watched_kbit: Union[int, float],
+                 waste_kbit: Union[int, float]):
+        _set_video_id(self, video_id)
+        _set_video_index(self, video_index)
+        _set_category(self, category)
+        _set_chunk_count(self, chunk_count)
+        _set_watched_chunks(self, watched_chunks)
+        _set_downloaded_chunks(self, downloaded_chunks)
+        _set_bitrates(self, bitrates)
+        _set_rebuffer_s(self, rebuffer_s)
+        _set_qoe(self, qoe)
+        _set_watched_kbit(self, watched_kbit)
+        _set_waste_kbit(self, waste_kbit)
+
+    def __reduce__(self):
+        # by value: restoring slot state would hit the frozen __setattr__
+        return VideoResult, tuple(getattr(self, f) for f in self.__slots__)
 
     @property
     def rebuffer_total_s(self) -> float:
@@ -114,6 +147,12 @@ class VideoResult:
     @property
     def waste_mbit(self) -> float:
         return self.waste_kbit / 1000.0
+
+
+(_set_video_id, _set_video_index, _set_category, _set_chunk_count,
+ _set_watched_chunks, _set_downloaded_chunks, _set_bitrates, _set_rebuffer_s,
+ _set_qoe, _set_watched_kbit, _set_waste_kbit) = (
+    getattr(VideoResult, f.name).__set__ for f in fields(VideoResult))
 
 
 @dataclass(frozen=True)
@@ -169,10 +208,15 @@ class _Simulation:
     """One simulated session and the only owner of its state.
 
     ``views`` holds one PlayerView per script video, the only download
-    count; the strategy sees the window of them from ``current_index``.
+    count; the strategy sees the window of them from the video on screen.
     ``bitrates`` and ``stalls`` keep each video's rungs and stalls to score.
     ``watched_kbit`` and ``waste_kbit`` sum each video's chunk sizes as they
     land, in chunk order, up to and past its swipe point.
+
+    :meth:`run` holds the playhead in locals: the clock, the current video
+    with its view, chunk duration and swipe point, the playhead chunk and
+    its start, whether playback started, and the rebuffer total. It writes
+    them back here once, when the session closes.
     """
 
     def __init__(self, script: SessionScript, trace: ThroughputTrace,
@@ -184,11 +228,6 @@ class _Simulation:
         self.strategy = strategy
         self.config = config
         self.n_videos = len(script.videos)
-        self.current_index = 0
-        self.wall_clock_s = 0.0
-        self.playback_started = False
-        self.play_chunk = 1
-        self.chunk_begin_s = 0.0
         self.bitrates: list[list[int]] = [[] for _ in script.videos]
         self.watched_kbit = [0] * self.n_videos
         self.waste_kbit = [0] * self.n_videos
@@ -203,105 +242,37 @@ class _Simulation:
             self.views.append(PlayerView(
                 spec=spec, video_index=i, downloaded=0,
                 thresholds=thresholds, swipe_cdf=cdf))
-        self.total_rebuffer = 0.0
-        self.done = False
         self.timeline: Optional[list] = [] if record_timeline else None
         self._ctx = StrategyContext(
             players=[], buffered=0, lead=0.0, c_pred=None, c_ave=None,
             c_min=0.0, r_last=None, rebuffer_flag=False, config=config)
-        self._rebuild_window()
 
-    # -- window helpers --------------------------------------------------
-
-    def _rebuild_window(self):
-        """Slide the window to the current video; the views keep their counts."""
-        lo = self.current_index
-        self._win_hi = min(lo + self.config.n_pred, self.n_videos)
-        window = self.views[lo:self._win_hi]
+    def _window(self, lo: int) -> tuple[int, int]:
+        """Slide the strategy's window to video ``lo``; the views keep their
+        counts. Returns the window's end and the chunks video ``lo`` needs
+        before its playback starts."""
+        hi = min(lo + self.config.n_pred, self.n_videos)
+        window = self.views[lo:hi]
         self._ctx.players = window
         b0 = self.config.b0_startup_chunks
-        # the chunks the current video needs before its playback starts
-        self._startup_chunks = min(b0, window[0].chunk_count)
         # worst-case smooth-playback bound, taken at the conservative
         # lowest rung for both the current chunk and the startup chunks
         cur = window[0].ladder.lowest
         nxt = window[1].ladder.lowest if len(window) > 1 else cur
         self._ctx.c_min = min_smooth_throughput(cur, [nxt] * b0, b0)
-
-    def _emit_play(self):
-        """Record the start of the playhead chunk, which starts only once;
-        call only while recording."""
-        self.timeline.append(("play", self.wall_clock_s, self.current_index, self.play_chunk))
-
-    # -- playback ----------------------------------------------------------
-
-    def _stall(self, chunk: int, dt: float):
-        if dt <= 0:
-            return
-        self.stalls[self.current_index][chunk - 1] += dt
-        self.total_rebuffer += dt
-        # run clears it once a decision has seen it
-        self._ctx.rebuffer_flag = True
-
-    def _advance(self, until: float):
-        """Run playback forward to ``until`` against the frozen buffers."""
-        views = self.views
-        swipe_points = self.script.swipe_points
-        recording = self.timeline is not None
-        while self.wall_clock_s < until and not self.done:
-            view = views[self.current_index]
-            n = view.downloaded
-            if not self.playback_started:
-                if n >= self._startup_chunks:
-                    self.playback_started = True
-                    self.play_chunk = 1
-                    self.chunk_begin_s = self.wall_clock_s
-                    if recording:
-                        self._emit_play()
-                    continue
-                if self.current_index > 0:
-                    self._stall(1, until - self.wall_clock_s)
-                self.wall_clock_s = until
-                return
-            if self.play_chunk > n:
-                self._stall(self.play_chunk, until - self.wall_clock_s)
-                self.wall_clock_s = until
-                return
-            end_t = self.chunk_begin_s + view.spec.chunk_duration_s
-            if end_t > until:
-                self.wall_clock_s = until
-                return
-            self.wall_clock_s = end_t
-            if self.play_chunk == swipe_points[self.current_index]:
-                self._swipe()
-            else:
-                self.play_chunk += 1
-                self.chunk_begin_s = end_t
-                if recording and self.play_chunk <= n:
-                    self._emit_play()
-
-    def _swipe(self):
-        timeline = self.timeline
-        if timeline is not None:
-            timeline.append(("swipe", self.wall_clock_s, self.current_index))
-        self.current_index += 1
-        if self.current_index >= self.n_videos:
-            self.done = True
-            if timeline is not None:
-                timeline.append(("end", self.wall_clock_s))
-            return
-        self.playback_started = False
-        self.play_chunk = 1
-        self._rebuild_window()
-
-    # -- main loop ---------------------------------------------------------
+        return hi, min(b0, window[0].chunk_count)
 
     def run(self) -> SessionResult:
         """Play the session out from the engine's own first download. Each
-        step reads the playhead into the context, decides, checks the action,
-        then sleeps, or times a download, plays out its flight and lands it."""
+        step checks the action, then sleeps, or times a download; plays the
+        clock forward to the wake or the landing against the frozen buffers;
+        lands the chunk; and reads the playhead into the context to decide
+        the next action. The session closes at the last swipe."""
         views = self.views
         swipe_points = self.script.swipe_points
+        n_videos = self.n_videos
+        bitrates = self.bitrates
+        stalls = self.stalls
         watched_kbit = self.watched_kbit
         waste_kbit = self.waste_kbit
         history = self.history
@@ -309,30 +280,32 @@ class _Simulation:
         memo = self.finishes
         timeline = self.timeline
         decide = self.strategy.decide
-        advance = self._advance
         finish_time = download_finish_time
+        isinf = math.isinf
         cfg = self.config
+        alpha1, alpha2, t_sleep_s = cfg.alpha1, cfg.alpha2, cfg.t_sleep_s
         ctx = self._ctx
+        # the playhead: ci is the video on screen, ``ready`` its landed
+        # chunks; play_chunk stays 1 until its playback starts
+        clock = 0.0
+        ci = 0
+        cur = views[0]
+        ready = cur.downloaded
+        duration = cur.spec.chunk_duration_s
+        swipe_at = swipe_points[0]
+        win_hi, startup = self._window(0)
+        started = False
+        play_chunk = 1
+        chunk_begin = 0.0
+        total_rebuffer = 0.0
         # the engine's own first download; decisions start once a chunk lands
-        action = Download(0, views[0].ladder.lowest, threshold=1)
-        while not self.done:
-            now = self.wall_clock_s
-            if ctx.r_last is not None:
-                view = ctx.players[0]
-                n = view.downloaded
-                # until playback starts the playhead waits at chunk 1
-                ctx.buffered = buffered = n - (self.play_chunk - 1)
-                offset = 0.0
-                if self.playback_started and self.play_chunk <= n:
-                    offset = ((now - self.chunk_begin_s)
-                              / view.spec.chunk_duration_s)
-                ctx.lead = buffered - offset
-                action = decide(ctx)
-                ctx.rebuffer_flag = False
+        action = Download(0, cur.ladder.lowest, threshold=1)
+        while True:
+            now = clock
             if isinstance(action, Download):
                 vi = action.video_index
                 rate = action.bitrate_kbps
-                if not self.current_index <= vi < self._win_hi:
+                if not ci <= vi < win_hi:
                     raise SimulationError(
                         f"strategy targeted video {vi} outside the window")
                 view = views[vi]
@@ -350,21 +323,89 @@ class _Simulation:
                 finish = memo.get(key)
                 if finish is None:
                     finish = memo[key] = finish_time(trace, now, size)
-                if math.isinf(finish):
+                if isinf(finish):
                     raise StarvationError(vi, n + 1, now)
                 if timeline is not None:
-                    buffered = ctx.buffered if vi == self.current_index else n
+                    buffered = ctx.buffered if vi == ci else n
                     timeline.append(("dl_start", now, vi, n + 1, rate,
                                      buffered, action.threshold))
                 # non-preemptive: play out the flight, then land the chunk
-                advance(finish)
-                if self.done:
-                    break
-                self.bitrates[vi].append(rate)
+                until = finish
+            else:
+                if not isinstance(action, Sleep):
+                    raise SimulationError(f"invalid strategy action {action!r}")
+                # wake at the sleep interval or the next chunk-playback boundary
+                wake = now + t_sleep_s
+                # a sleep while the playhead waits (for chunk ready + 1) never ends
+                if ready < (play_chunk if started else startup):
+                    raise SimulationError(
+                        f"strategy idled while video {ci} "
+                        f"waits for chunk {ready + 1}")
+                if started:
+                    nxt = chunk_begin + duration
+                    if nxt < wake:
+                        wake = nxt
+                if timeline is not None:
+                    timeline.append(("sleep", now, wake))
+                until = wake
+                view = None  # nothing lands
+            # play the clock forward to ``until``
+            while clock < until:
+                if started and play_chunk <= ready:
+                    end_t = chunk_begin + duration
+                    if end_t > until:
+                        clock = until
+                        break
+                    clock = end_t
+                    if play_chunk != swipe_at:
+                        play_chunk += 1
+                        chunk_begin = end_t
+                        if timeline is not None and play_chunk <= ready:
+                            timeline.append(("play", clock, ci, play_chunk))
+                        continue
+                    # the user swipes; the window slides to the next video
+                    if timeline is not None:
+                        timeline.append(("swipe", clock, ci))
+                    ci += 1
+                    if ci >= n_videos:
+                        if timeline is not None:
+                            timeline.append(("end", clock))
+                        (self.wall_clock_s, self.current_index,
+                         self.play_chunk, self.chunk_begin_s,
+                         self.playback_started, self.total_rebuffer) = (
+                            clock, ci, play_chunk, chunk_begin, started,
+                            total_rebuffer)
+                        return self._result()
+                    cur = views[ci]
+                    ready = cur.downloaded
+                    duration = cur.spec.chunk_duration_s
+                    swipe_at = swipe_points[ci]
+                    win_hi, startup = self._window(ci)
+                    started = False
+                    play_chunk = 1
+                    continue
+                if not started and ready >= startup:
+                    started = True
+                    chunk_begin = clock
+                    if timeline is not None:
+                        timeline.append(("play", clock, ci, play_chunk))
+                    continue
+                # the playhead waits for chunk play_chunk; before the first
+                # video starts playing that is startup delay, not a stall
+                if started or ci > 0:
+                    dt = until - clock
+                    if dt > 0:
+                        stalls[ci][play_chunk - 1] += dt
+                        total_rebuffer += dt
+                        # cleared once a decision has seen it
+                        ctx.rebuffer_flag = True
+                clock = until
+            if view is not None:
+                bitrates[vi].append(rate)
                 history.record_download(size, finish - now)
                 # the estimates change only when a download lands
                 ctx.c_ave = history.window_mean()
-                ctx.c_pred = history.predict(cfg.alpha1, cfg.alpha2)
+                ctx.c_pred = history.predict(alpha1, alpha2)
                 ctx.r_last = rate
                 # a departed video's view stays current too; none reads it
                 view.downloaded = k = n + 1
@@ -374,63 +415,51 @@ class _Simulation:
                 else:
                     waste_kbit[vi] += size
                 if timeline is not None:
-                    timeline.append(("dl_done", self.wall_clock_s, vi, k))
-                if (self.playback_started and vi == self.current_index
-                        and k == self.play_chunk):
-                    self.chunk_begin_s = self.wall_clock_s
-                    if timeline is not None:
-                        self._emit_play()
-                continue
-            if not isinstance(action, Sleep):
-                raise SimulationError(f"invalid strategy action {action!r}")
-            # wake at the sleep interval or the next chunk-playback boundary
-            wake = now + cfg.t_sleep_s
-            view = views[self.current_index]
-            n = view.downloaded
-            # a sleep while the playhead waits (for chunk n + 1) never ends
-            if n < (self.play_chunk if self.playback_started
-                    else self._startup_chunks):
-                raise SimulationError(
-                    f"strategy idled while video {self.current_index} "
-                    f"waits for chunk {n + 1}")
-            if self.playback_started:
-                nxt = self.chunk_begin_s + view.spec.chunk_duration_s
-                if nxt < wake:
-                    wake = nxt
-            if timeline is not None:
-                timeline.append(("sleep", now, wake))
-            advance(wake)
-        return self._result()
+                    timeline.append(("dl_done", clock, vi, k))
+                if vi == ci:
+                    ready = k
+                    if started and k == play_chunk:
+                        chunk_begin = clock
+                        if timeline is not None:
+                            timeline.append(("play", clock, ci, play_chunk))
+            # read the playhead into the context; until playback starts it
+            # waits at chunk 1
+            ctx.buffered = buffered = ready - (play_chunk - 1)
+            offset = 0.0
+            if started and play_chunk <= ready:
+                offset = (clock - chunk_begin) / duration
+            ctx.lead = buffered - offset
+            action = decide(ctx)
+            ctx.rebuffer_flag = False
 
     def _result(self) -> SessionResult:
         cfg = self.config
         weights = metrics.QoEWeights(cfg.w1, cfg.w2, cfg.w3)
         quality_metric = cfg.quality_metric
+        qoe_video = metrics.qoe_video
         videos = []
         qoes = []
         costs = []
+        wastes = []
         for i, (spec, watched, rungs, stalls, watched_kbit, waste_kbit) in (
                 enumerate(zip(self.script.videos, self.script.swipe_points,
                               self.bitrates, self.stalls, self.watched_kbit,
                               self.waste_kbit))):
             bitrates = tuple(rungs)
             rebuf = tuple(stalls)
-            qoe = metrics.qoe_video(bitrates[:watched], rebuf, weights,
-                                    quality_metric)
-            video = VideoResult(
-                video_id=spec.id, video_index=i, category=spec.category,
-                chunk_count=spec.chunk_count, watched_chunks=watched,
-                downloaded_chunks=len(bitrates), bitrates=bitrates,
-                rebuffer_s=rebuf, qoe=qoe, watched_kbit=watched_kbit,
-                waste_kbit=waste_kbit)
-            videos.append(video)
+            qoe = qoe_video(bitrates[:watched], rebuf, weights, quality_metric)
+            videos.append(VideoResult(
+                spec.id, i, spec.category, spec.chunk_count, watched,
+                len(bitrates), bitrates, rebuf, qoe, watched_kbit, waste_kbit))
             qoes.append(qoe)
-            costs.append(video.cost_mbit)
+            # as the video's cost_mbit and waste_mbit properties compute them
+            costs.append((watched_kbit + waste_kbit) / 1000.0)
+            wastes.append(waste_kbit / 1000.0)
         return SessionResult(
             videos=tuple(videos),
             qoe_total=sum(qoes),
             cost_mbit_total=sum(costs),
-            waste_mbit_total=sum(v.waste_mbit for v in videos),
+            waste_mbit_total=sum(wastes),
             utility=metrics.utility(qoes, costs, cfg.w4),
             wall_time_s=self.wall_clock_s,
             rebuffer_total_s=self.total_rebuffer,

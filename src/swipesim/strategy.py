@@ -125,6 +125,9 @@ class Sleep:
     __slots__ = ()
 
 
+# the one Sleep every decider returns; a Sleep has no state
+_SLEEP = Sleep()
+
 Action = Union[Download, Sleep]
 
 
@@ -139,7 +142,9 @@ class PlayerView:
     ``ladder`` are copied from ``spec`` on construction. ``retention_cap``
     is :func:`pdas_retention_cap` of ``swipe_cdf``, also set on
     construction. ``complete`` and ``next_needed`` stay properties of
-    ``downloaded``, so they follow any change to it.
+    ``downloaded``, so they follow any change to it; the deciders, which
+    run once per decision, read ``downloaded`` and ``chunk_count``
+    directly instead.
     """
 
     spec: VideoSpec
@@ -227,7 +232,7 @@ def _startup_reserve(ctx: StrategyContext) -> float:
 def _current_demand(ctx: StrategyContext) -> float:
     """Per-chunk bandwidth the on-screen video keeps claiming."""
     cur = ctx.players[0]
-    if cur.complete:
+    if cur.downloaded >= cur.chunk_count:
         return 0.0
     if cur.last_bitrate is not None:
         return cur.last_bitrate
@@ -283,7 +288,7 @@ def dtaap_bitrate(ctx: StrategyContext, player_index: int = 0) -> int:
                 return target
         return anchor if anchor in ladder else ladder.match(anchor)
     imminent = _swipe_imminent(ctx)
-    if p.next_needed <= cfg.b0_startup_chunks:
+    if p.downloaded < cfg.b0_startup_chunks:
         budget = ctx.c_ave - (_current_demand(ctx) if imminent else 0.0)
         return ladder.match(budget / cfg.b0_startup_chunks)
     reserve = _startup_reserve(ctx) if imminent else 0.0
@@ -304,7 +309,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
     players = ctx.players
     b0 = ctx.config.b0_startup_chunks
     cur = players[0]
-    if not cur.complete:
+    if cur.downloaded < cur.chunk_count:
         b_th = (min(STARVED_PLAYHEAD_CUSHION, cur.chunk_count) if starved
                 else buffer_threshold_current(ctx))
         if ctx.buffered < b_th:
@@ -315,7 +320,7 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
                             threshold=b0)
     for j in range(1, len(players)):
         p = players[j]
-        if p.complete:
+        if p.downloaded >= p.chunk_count:
             continue
         b_th = (min(b0, p.chunk_count) if starved
                 else buffer_threshold_next(ctx, j))
@@ -325,16 +330,16 @@ def dtaap_decide(ctx: StrategyContext) -> Action:
     if starved:
         # bank the window in order; never leave the channel idle
         for j, p in enumerate(players):
-            if not p.complete:
+            if p.downloaded < p.chunk_count:
                 return Download(p.video_index, dtaap_bitrate(ctx, j),
                                 threshold=p.chunk_count)
-    return Sleep()
+    return _SLEEP
 
 
 def fixb_decide(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
     """Fixed depth targets; also the scan of :func:`networkbased_decide`."""
     cur = ctx.players[0]
-    if not cur.complete:
+    if cur.downloaded < cur.chunk_count:
         if ctx.buffered < b_current:
             return Download(cur.video_index, cur.ladder.match(ctx.c_ave),
                             threshold=b_current)
@@ -343,19 +348,19 @@ def fixb_decide(ctx: StrategyContext, b_current: int, b_next: int) -> Action:
             return Download(cur.video_index, cur.ladder.match(ctx.c_ave),
                             threshold=b0)
     for p in ctx.players[1:]:
-        if not p.complete and p.downloaded < b_next:
+        if p.downloaded < p.chunk_count and p.downloaded < b_next:
             return Download(p.video_index, p.ladder.match(ctx.c_ave),
                             threshold=b_next)
-    return Sleep()
+    return _SLEEP
 
 
 def nextone_decide(ctx: StrategyContext) -> Action:
     """Finish the current video, then fill each recommended player fully."""
     for p in ctx.players:
-        if not p.complete:
+        if p.downloaded < p.chunk_count:
             return Download(p.video_index, p.ladder.match(ctx.c_ave),
-                             threshold=p.chunk_count)
-    return Sleep()
+                            threshold=p.chunk_count)
+    return _SLEEP
 
 
 def networkbased_decide(ctx: StrategyContext) -> Action:
@@ -392,17 +397,18 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
     progresses.
     """
     for j, p in enumerate(ctx.players):
-        if p.complete:
+        n = p.downloaded
+        if n >= p.chunk_count:
             continue
         cap = p.retention_cap
         if j == 0:
-            play_need = p.downloaded - ctx.buffered + 1
+            play_need = n - ctx.buffered + 1
             cap = max(cap, play_need, ctx.config.b0_startup_chunks)
-        if p.downloaded < cap:
-            weighted = ctx.c_ave * _reach_probability(p, p.next_needed)
+        if n < cap:
+            weighted = ctx.c_ave * _reach_probability(p, n + 1)
             return Download(p.video_index, p.ladder.match(weighted),
                             threshold=cap)
-    return Sleep()
+    return _SLEEP
 
 
 class Strategy(NamedTuple):

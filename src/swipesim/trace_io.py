@@ -257,10 +257,12 @@ class BehaviorTrace(namedtuple(
         "BehaviorTrace", ("trace_id", "category", "total_chunks", "swipe_chunk"))):
     """One observed viewing: the chunk at which the user swiped away.
 
-    A named tuple whose constructor checks the chunk counts, and that each
-    name survives a CSV row: no comma, line break or edge space. ``_make``
-    and so ``_replace`` call it. :func:`parse_behavior_traces` checks a
-    whole block of rows in bulk and then builds each with ``tuple.__new__``.
+    A named tuple whose constructor checks that each name survives a CSV
+    row (no comma, line break or edge space) and that the chunk counts are
+    ``int``s, never a ``bool`` or a ``float``, in range; so every row it
+    accepts round-trips. ``_make`` and so ``_replace`` call it.
+    :func:`parse_behavior_traces` checks a whole block of rows in bulk and
+    then builds each with ``tuple.__new__``.
     """
 
     __slots__ = ()
@@ -272,6 +274,12 @@ class BehaviorTrace(namedtuple(
                     or "," in name or len(name.splitlines()) > 1):
                 raise ValueError(f"trace {trace_id!r}: {name!r} must be text "
                                  f"with no comma, line break or edge space")
+        if type(total_chunks) is not int:
+            raise ValueError(f"trace {trace_id}: total_chunks must be an int, "
+                             f"got {total_chunks!r}")
+        if type(swipe_chunk) is not int:
+            raise ValueError(f"trace {trace_id}: swipe_chunk must be an int, "
+                             f"got {swipe_chunk!r}")
         if total_chunks < 1:
             raise ValueError(f"trace {trace_id}: total_chunks must be >= 1")
         if not 1 <= swipe_chunk <= total_chunks:

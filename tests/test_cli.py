@@ -505,6 +505,12 @@ def _scripts_json(**script):
      "script 0: field 'videos': expected a list of video ids"),
     ("--scripts", "scripts.json", _scripts_json(videos="v0"),
      "script 0: field 'videos': expected a list of video ids"),
+    # a string would be read character by character, "35" as (3, 5)
+    ("--scripts", "scripts.json",
+     _scripts_json(videos=["v0", "v0"], swipe_points="35"),
+     "script 0: field 'swipe_points': expected a list of chunk indices"),
+    ("--scripts", "scripts.json", _scripts_json(swipe_points=3),
+     "script 0: field 'swipe_points': expected a list of chunk indices"),
 ], ids=["scripts-no-scripts", "script-no-swipe-points", "scripts-list",
         "swipe-point-not-int", "swipe-point-out-of-range", "model-no-mass",
         "catalog-json", "config-json", "scripts-json", "model-json",
@@ -515,7 +521,8 @@ def _scripts_json(**script):
         "mass-not-a-list", "mass-entry-type", "config-field-type", "chunk-duration-type",
         "ladder-type", "chunk-duration-nan", "chunk-duration-inf", "ladder-inf",
         "mass-entry-nan", "ladder-bool", "chunk-duration-bool", "config-field-bool",
-        "mass-entry-bool", "script-videos-nested", "script-videos-string"])
+        "mass-entry-bool", "script-videos-nested", "script-videos-string",
+        "script-swipe-points-string", "script-swipe-points-number"])
 def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
                                           text, where):
     path = tmp_path / name

@@ -1,7 +1,10 @@
+import copy
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -182,6 +185,54 @@ class TestTimelineInvariants:
                 if ev[0] == "dl_start":
                     buffered, threshold = ev[5], ev[6]
                     assert buffered < threshold
+
+
+class TestRawEventOrder:
+    """The engine's raw event order, pinned by digest. The oracle compares
+    sorted ``canonical()`` timelines, so it cannot see two events at one
+    instant swap places; these digests can. A quick-swipe script (swipes
+    at chunk 1, mid-video and at the last chunk) at ``b0`` = 2 on a
+    ``mixed`` and a ``low`` trace; the stalls, sleeps and swipes of each
+    session interleave with its downloads."""
+
+    SCRIPT = SessionScript(
+        "quick", tuple(VideoSpec(f"v{i}", "cat", k, 1.0, LADDER3)
+                       for i, k in enumerate((8, 8, 8, 1, 9, 6, 2))),
+        (1, 4, 8, 1, 5, 6, 1))
+    # (timeline, videos): SHA-256 of the repr of each
+    DIGESTS = {
+        ("mixed", "dtaap"): ("a1329a93aba7c10e308bad7671f08889f8a6a8899e9c55b5ef32f1e2b2f1cfd6",
+                             "c08ff815b1aaffd8b7c15580daa1655b0fdf2bea2c4e70297e99516f2975df1f"),
+        ("mixed", "fixb"): ("9ecc1ad62586015241aff88ed492c3796a7190babb2a7c70643f4fa204914c1d",
+                            "b7671660e217f914856a00d51e0ef49091d98a3005a027db73145c49d4984669"),
+        ("mixed", "nextone"): ("812fdc52bd4bdeb50c87dc87390b9e404401113a52ec7f7c68cfbe9414a67e30",
+                               "2c001006666e2bd2a75cd6f3541bfd3241c98add50bde4093f36994403afde4c"),
+        ("mixed", "network"): ("5cb69f966d69a46285fac188749565c9ee07af089123135000f2ed72beb6effa",
+                               "17cb18c956539ee31091ccf9177944930719f43826710141f781862c04c3a085"),
+        ("mixed", "pdas_lite"): ("a25ff369cf6230b51d386c15be809405580bcdbd7dcab26ffd9e75914b198077",
+                                 "23dca8463e50dde0d4a736e62462d7646ff881bcccbef3421e4c35b57f9ef159"),
+        ("low", "dtaap"): ("5f5ec068edc1473dfb4be0d8269d3438e0a8797cf9257c4e8682f7389e87e7c7",
+                           "09e9fcf2a227d5f47af9d33f683dc3cddd600cffc6c9619f3ba8074cbe45de82"),
+        ("low", "fixb"): ("9b9c448f29677a6b25a61e74a49e5ec21d0947f8308cff4f60216a1f37fc5147",
+                          "6a3825b084ad0a3faaacb2a840561c230f066c50e82bce5a3b93a88a9257d5ec"),
+        ("low", "nextone"): ("6977d06c14a1a58dae7c4db5efa669fe3700e9957a6db651f72db742ff4b1027",
+                             "6a3825b084ad0a3faaacb2a840561c230f066c50e82bce5a3b93a88a9257d5ec"),
+        ("low", "network"): ("5d975e56e5d4108fa9f669c529764a461d5a8fa42da3daea9388f20f08ceb1fa",
+                             "6a3825b084ad0a3faaacb2a840561c230f066c50e82bce5a3b93a88a9257d5ec"),
+        ("low", "pdas_lite"): ("031d8568ffb5125ef3c99426bd573abafd594918d7cefb1497b33c956268330b",
+                               "e3e98058f684cd831f0019ab8205a57ef29f4ea2e44d13e9cb01766bd0c2586a"),
+    }
+
+    @pytest.mark.parametrize("kind, name", list(DIGESTS),
+                             ids=[f"{k}-{n}" for k, n in DIGESTS])
+    def test_timeline_and_videos_match_their_digests(self, kind, name):
+        res = run_session(self.SCRIPT, generate_scenario(kind, 5, 400),
+                          make_strategy(name),
+                          SessionConfig(b0_startup_chunks=2), MODEL,
+                          record_timeline=True)
+        got = tuple(hashlib.sha256(repr(x).encode()).hexdigest()
+                    for x in (res.timeline, res.videos))
+        assert got == self.DIGESTS[kind, name]
 
 
 class TestOracleEquivalence:
@@ -826,6 +877,26 @@ class TestVideoResult:
         v = self._result()
         with pytest.raises(dataclasses.FrozenInstanceError):
             v.qoe = 0.0
+
+    @pytest.mark.parametrize("name", [
+        *(f.name for f in dataclasses.fields(VideoResult)), "extra"])
+    def test_slotted_and_frozen(self, name):
+        v = self._result()
+        assert not hasattr(v, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(v, name)
+
+    def test_pickle_and_copy_equal(self):
+        v = self._result()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(v, protocol))
+            assert back == v and repr(back) == repr(v)
+        for c in (copy.copy(v), copy.deepcopy(v)):
+            assert c == v and repr(c) == repr(v)
+        assert [f.name for f in dataclasses.fields(VideoResult)] == list(
+            VideoResult.__slots__)
 
     def test_equal_by_value(self):
         v = self._result()

@@ -12,6 +12,7 @@ from swipesim.retention import build_model, swipe_cdf
 from swipesim.strategy import (
     Download,
     Sleep,
+    _SLEEP,
     _starved,
     buffer_threshold_current,
     buffer_threshold_next,
@@ -431,6 +432,15 @@ class TestActions:
                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
             for twin in twins:
                 assert twin == action and type(twin) is type(action)
+
+    @pytest.mark.parametrize("name", ["dtaap", "fixb", "nextone", "network",
+                                      "pdas_lite"])
+    def test_deciders_share_one_sleep(self, name):
+        # every player complete: each decider sleeps, with the one instance
+        players = [make_view(i, downloaded=10) for i in range(5)]
+        ctx = make_ctx(players=players, buffered=10)
+        decide = make_strategy(name).decide
+        assert decide(ctx) is decide(ctx) is _SLEEP == Sleep()
 
     def test_equal_and_hashable(self):
         a = Download(2, 1200, threshold=2.0)

@@ -109,6 +109,9 @@ class TestParseThroughput:
 # names from the characters that a CSV row of the behavior format treats
 # specially: the comma, line breaks and whitespace
 _NAME = st.text(st.sampled_from("ab ,\t\n\r\x0b\x1c\x85\u2028"), max_size=4)
+# chunk counts: ints, and the floats and bools that compare like them
+_COUNT = st.one_of(st.integers(1, 50), st.integers(1, 50).map(float),
+                   st.floats(1, 50), st.booleans())
 
 
 class TestParseBehavior:
@@ -135,21 +138,25 @@ class TestParseBehavior:
         assert serialize_behavior_traces(rows) == text
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(_NAME, _NAME, st.integers(1, 50)),
+    @given(st.lists(st.tuples(_NAME, _NAME, _COUNT, _COUNT),
                     min_size=1, max_size=6))
     def test_every_row_the_constructor_accepts_round_trips(self, drawn):
         rows = []
-        for trace_id, category, total in drawn:
+        for fields in drawn:
             try:
-                rows.append(BehaviorTrace(trace_id, category, total, total))
+                rows.append(BehaviorTrace(*fields))
             except ValueError:
-                # what it rejects, a CSV row would split or change
-                row = tuple.__new__(BehaviorTrace, (trace_id, category, total, total))
+                # what it rejects, a CSV row would split or change, or the
+                # parser would refuse
+                row = tuple.__new__(BehaviorTrace, fields)
                 try:
                     back = parse_behavior_traces(serialize_behavior_traces([row]))
                 except ValueError:
                     continue
                 assert back != [row]
+            else:
+                # a float or bool count is always rejected
+                assert type(fields[2]) is int and type(fields[3]) is int
         if rows:
             assert parse_behavior_traces(serialize_behavior_traces(rows)) == rows
 
@@ -183,6 +190,11 @@ class TestBehaviorTraceRow:
         (("t", "c", -3, 1), "trace t: total_chunks must be >= 1"),
         (("t", "c", 10, 11), "trace t: swipe_chunk 11 out of range 1..10"),
         (("t", "c", 10, 0), "trace t: swipe_chunk 0 out of range 1..10"),
+        # such a row would serialise to a count the parser rejects
+        (("t", "c", 10.0, 5), "trace t: total_chunks must be an int, got 10.0"),
+        (("t", "c", 10, 5.0), "trace t: swipe_chunk must be an int, got 5.0"),
+        (("t", "c", True, True), "trace t: total_chunks must be an int, got True"),
+        (("t", "c", 10, True), "trace t: swipe_chunk must be an int, got True"),
     ])
     def test_constructor_checks_the_counts(self, fields, message):
         with pytest.raises(ValueError) as exc:

@@ -11,7 +11,12 @@ untraced first, so the per-video caches are warm, and then once under a
 `sys.settrace` hook with opcode events on. The script prints the total
 opcode count, the count per source module, each strategy's total over its
 ten sessions and the summed session utility, which shows that a change
-left the output alone.
+left the output alone. One more untraced pass runs the slice with
+`record_timeline=True` and prints `timeline_sha256`, the SHA-256 of the
+`repr` of each session's timeline in slice order. So a change to the
+engine loop shows next to its opcode counts that it kept every event and
+the raw order of the events, which the sorted timelines of the oracle
+tests cannot see.
 
 The slice runs trace by trace, each trace's five strategies back to back,
 as `run_batch` runs a batch, and like `run_batch` it gives each trace's
@@ -30,6 +35,7 @@ and nothing here runs in the tests or in the benchmark.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -97,6 +103,14 @@ def main(argv=None) -> int:
         for u in utilities[name]:
             utility += u
 
+    timelines = hashlib.sha256()
+    for ref in traces:
+        finishes = {}
+        for strategy in strategies:
+            res = run_session(script, ref.trace, strategy, config, models,
+                              record_timeline=True, finishes=finishes)
+            timelines.update(repr(res.timeline).encode())
+
     per_module: Counter = Counter()
     for filename, n in ops.items():
         per_module[_module(filename)] += n
@@ -108,6 +122,7 @@ def main(argv=None) -> int:
     for name in STRATEGY_NAMES:
         print(f"  {name} {per_strategy[name]}")
     print(f"utility_sum {utility!r}")
+    print(f"timeline_sha256 {timelines.hexdigest()}")
     return 0
 
 

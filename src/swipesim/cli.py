@@ -21,7 +21,8 @@ import random
 import sys
 from pathlib import Path
 
-from .core import BitrateLadder, SessionConfig, VideoSpec, json_count
+from .core import (BitrateLadder, SessionConfig, VideoSpec, json_count,
+                   json_fields, json_list, json_number, json_text)
 from .engine import TraceRef, SessionScript, run_batch, run_session, sample_script
 from .retention import build_model, model_from_dict, model_to_json
 from .strategy import FIXB_CURRENT, FIXB_NEXT, STRATEGY_NAMES, make_strategy
@@ -104,20 +105,13 @@ def default_behavior(seed: int,
     return traces
 
 
-class _Object(dict):
-    """A JSON object of an input file: a missing field is an input error."""
-
-    def __missing__(self, name):
-        raise ValueError(f"missing field {name!r}")
-
-
 def _read_input(what: str, path, parse, json_type=None):
     """The one reader of the CLI's input files: ``parse`` the text, or the JSON
     of top-level ``json_type``; a failure exits 1 as ``<what> <path>: <detail>``."""
     try:
         data = Path(path).read_text()
         if json_type is not None:
-            data = json.loads(data, object_hook=_Object)
+            data = json.loads(data)
             if not isinstance(data, json_type):
                 kind = "list" if json_type is list else "object"
                 raise ValueError(f"expected a JSON {kind}")
@@ -144,31 +138,30 @@ def _load_config(path) -> SessionConfig:
 
 
 def _video_from_dict(entry) -> VideoSpec:
-    if not isinstance(entry, dict):
-        raise ValueError("expected a JSON object")
-    duration, levels = entry["chunk_duration_s"], entry["ladder_kbps"]
-    try:
-        if isinstance(duration, bool):
-            raise TypeError  # float() would read a JSON true as 1.0
-        duration = float(duration)
-    except (TypeError, ValueError):
-        raise ValueError("field 'chunk_duration_s': expected a number") from None
-    try:
-        if any(isinstance(lv, bool) for lv in levels):
-            raise TypeError
-        ladder = BitrateLadder(tuple(levels))
-    except TypeError:
-        raise ValueError("field 'ladder_kbps': expected a list of numbers") from None
+    vid, category, count, duration, levels = json_fields(entry, (
+        "id", "category", "chunk_count", "chunk_duration_s", "ladder_kbps"))
     return VideoSpec(
-        id=str(entry["id"]), category=str(entry["category"]),
-        chunk_count=json_count(entry["chunk_count"], "chunk_count"),
-        chunk_duration_s=duration, ladder=ladder)
+        id=json_text(vid, "id"), category=json_text(category, "category"),
+        chunk_count=json_count(count, "chunk_count"),
+        chunk_duration_s=float(json_number(duration, "chunk_duration_s")),
+        ladder=BitrateLadder(tuple(json_list(levels, "ladder_kbps",
+                                             json_number))))
 
 
-def _catalog(data) -> list[VideoSpec]:
-    videos = _each("entry", data, _video_from_dict)
+def _catalog(data, label: str = "entry", behavior=None) -> list[VideoSpec]:
+    """The videos, each with a unique id and, if ``behavior`` is given, a
+    category that has behavior traces in it."""
+    videos = _each(label, data, _video_from_dict)
     if not videos:
         raise ValueError("no videos")
+    seen = set()
+    for i, video in enumerate(videos):
+        if video.id in seen:
+            raise ValueError(f"{label} {i}: repeated video id {video.id!r}")
+        if behavior is not None and video.category not in behavior:
+            raise ValueError(f"{label} {i}: no behavior traces for category "
+                             f"{video.category!r}")
+        seen.add(video.id)
     return videos
 
 
@@ -180,28 +173,31 @@ def _catalog_to_dicts(videos) -> list[dict]:
     } for v in videos]
 
 
-def _scripts(data) -> list[SessionScript]:
+def _scripts(data, behavior=None) -> list[SessionScript]:
+    """The scripts; if ``behavior`` is given, each video's category has
+    traces in it to build the category's retention model from."""
+    catalog, scripts = json_fields(data, ("catalog", "scripts"))
     by_id = {spec.id: spec for spec in
-             _each("catalog entry", data["catalog"], _video_from_dict)}
+             _catalog(json_list(catalog, "catalog"), "catalog entry")}
 
     def script(entry) -> SessionScript:
-        ids = entry["videos"]
-        if not isinstance(ids, list) or not all(isinstance(v, str) for v in ids):
-            raise ValueError("field 'videos': expected a list of video ids")
+        script_id, ids, points = json_fields(
+            entry, ("id", "videos", "swipe_points"))
+        ids = json_list(ids, "videos", json_text)
         unknown = [vid for vid in ids if vid not in by_id]
         if unknown:
             raise ValueError(f"video id {unknown[0]!r} is not in its catalog")
-        script_id = str(entry["id"])
-        points = entry["swipe_points"]
-        if not isinstance(points, list):
+        lacking = [by_id[vid].category for vid in ids if behavior is not None
+                   and by_id[vid].category not in behavior]
+        if lacking:
             raise ValueError(
-                "field 'swipe_points': expected a list of chunk indices")
+                f"no retention model for category {lacking[0]!r}")
         return SessionScript(
-            script_id=script_id,
+            script_id=json_text(script_id, "id"),
             videos=tuple(by_id[vid] for vid in ids),
-            swipe_points=tuple(json_count(k, "swipe_points") for k in points))
+            swipe_points=tuple(json_list(points, "swipe_points", json_count)))
 
-    scripts = _each("script", data["scripts"], script)
+    scripts = _each("script", json_list(scripts, "scripts"), script)
     if not scripts:
         raise ValueError("no scripts")
     return scripts
@@ -224,10 +220,14 @@ def _scripts_to_dict(scripts) -> dict:
 
 def _build_scripts(args, grouped, n_scripts: int) -> list[SessionScript]:
     if args.scripts:
-        return _read_input("scripts", args.scripts, _scripts, dict)
+        # a --model serves every category
+        behavior = None if args.model else grouped
+        return _read_input("scripts", args.scripts,
+                           lambda data: _scripts(data, behavior), dict)
     if n_scripts < 1:
         raise _CliError("--n-scripts must be >= 1")
-    catalog = (_read_input("catalog", args.catalog, _catalog, list)
+    catalog = (_read_input("catalog", args.catalog,
+                           lambda data: _catalog(data, behavior=grouped), list)
                if args.catalog else default_catalog(args.seed))
     rng = random.Random(f"scripts:{args.seed}")
     scripts = []

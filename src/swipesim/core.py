@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from numbers import Real
@@ -74,14 +75,57 @@ def chunk_kbit(bitrate_kbps, duration_s):
     return isize if size == isize else size
 
 
+# an int beyond it, which JSON can hold, overflows float arithmetic
+_FLOAT_MAX = sys.float_info.max
+
+
+def _expected(field, kind: str, value) -> ValueError:
+    """The readers' error: ``field '<name>': expected <kind>, got <JSON>``."""
+    where = "" if field is None else f"field {field!r}: "
+    return ValueError(
+        f"{where}expected {kind}, got {json.dumps(value, default=repr)}")
+
+
+def json_fields(obj, names) -> tuple:
+    """An object's fields ``names``; a missing or unknown one is an error."""
+    if not isinstance(obj, dict):
+        raise _expected(None, "a JSON object", obj)
+    unknown = [name for name in obj if name not in names]
+    missing = [name for name in names if name not in obj]
+    if unknown or missing:
+        raise ValueError(f"{'unknown' if unknown else 'missing'} field "
+                         f"{(unknown or missing)[0]!r}")
+    return tuple(obj[name] for name in names)
+
+
+def json_text(value, field: str) -> str:
+    if not isinstance(value, str):
+        raise _expected(field, "a string", value)
+    return value
+
+
+def json_number(value, field: str):
+    """A number within the float range, kept as given; ``true`` is none."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        raise _expected(field, "a number", value)
+    return value
+
+
 def json_count(value, field: str) -> int:
-    """A whole count read from JSON; ``true`` and ``10.7`` are rejected, not
-    read as 1 and 10."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ValueError(f"field {field!r}: expected an integer, got "
-                         f"{json.dumps(value)}")
-    return int(value)
+    """A whole number: ``12.0`` reads as 12; ``true`` and ``10.7`` fail."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _expected(field, "an integer", value)
+    return value
+
+
+def json_list(value, field, read=None) -> list:
+    """A JSON list, with ``read(item, field)`` of each item if given."""
+    if not isinstance(value, list):
+        raise _expected(field, "a JSON list", value)
+    return value if read is None else [read(item, field) for item in value]
 
 
 @dataclass(frozen=True)
@@ -206,9 +250,9 @@ class SessionConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type == "float" and (isinstance(v, bool) or not isinstance(v, Real)):
-                raise ValueError(f"{f.name} must be a number")
+            read = {"float": json_number, "int": json_count}.get(f.type)
+            if read:
+                setattr(self, f.name, read(getattr(self, f.name), f.name))
         for name in ("w1", "w2", "w3", "w4", "alpha1", "alpha2"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
@@ -220,9 +264,7 @@ class SessionConfig:
                 raise ValueError(f"{name} must lie in (0, 1)")
         for name, low in (("b0_startup_chunks", 1), ("n_pred", 2),
                           ("window_chunks", 1)):
-            v = getattr(self, name)
-            # a JSON true is an int to isinstance, but not a count
-            if isinstance(v, bool) or not isinstance(v, int) or v < low:
+            if getattr(self, name) < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
         if not 0 < self.t_sleep_s < math.inf:
             raise ValueError("t_sleep_s must be finite and > 0")

@@ -13,12 +13,10 @@ swipe_probability(k, K) is the mass of the bins chunk k covers.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Iterable
 
-from .core import json_count
+from .core import json_count, json_fields, json_list, json_number, json_text
 
 BIN_COUNT = 100
 
@@ -41,8 +39,7 @@ class RetentionModel:
     def __post_init__(self):
         if len(self.mass) != BIN_COUNT:
             raise ValueError(f"mass vector must have {BIN_COUNT} bins")
-        if any(isinstance(m, bool) or not isinstance(m, Real)
-               or not 0 <= m < math.inf for m in self.mass):
+        if any(json_number(m, "mass") < 0 for m in self.mass):
             raise ValueError("mass entries must be non-negative numbers")
         total = sum(self.mass)
         if abs(total - 1.0) > 1e-9:
@@ -167,13 +164,12 @@ def swipe_cdf(model: RetentionModel, total_chunks: int) -> tuple[float, ...]:
 
 
 def model_from_dict(data: dict) -> RetentionModel:
-    category, mass = data["category"], data["mass"]
-    if not isinstance(mass, (list, tuple)):
-        raise ValueError("field 'mass': expected a list of numbers")
+    category, mass, count = json_fields(data,
+                                        ("category", "mass", "trace_count"))
     return RetentionModel(
-        category=category,
-        mass=tuple(mass),
-        trace_count=json_count(data["trace_count"], "trace_count"),
+        category=json_text(category, "category"),
+        mass=tuple(json_list(mass, "mass")),
+        trace_count=json_count(count, "trace_count"),
     )
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -437,7 +438,7 @@ def _scripts_json(**script):
     ("--scripts", "scripts.json", json.dumps([VIDEO]),
      "expected a JSON object"),
     ("--scripts", "scripts.json", _scripts_json(swipe_points=["x"]),
-     "script 0: invalid literal"),
+     "script 0: field 'swipe_points': expected an integer, got \"x\""),
     ("--scripts", "scripts.json", _scripts_json(swipe_points=[11]),
      "script 0: swipe point 11 out of range"),
     ("--model", "model.json", json.dumps({"category": "quick", "trace_count": 1}),
@@ -469,48 +470,50 @@ def _scripts_json(**script):
     ("--model", "model.json", _model_json(trace_count=True),
      "field 'trace_count': expected an integer, got true"),
     ("--model", "model.json", _model_json(mass=5),
-     "field 'mass': expected a list of numbers"),
+     "field 'mass': expected a JSON list, got 5"),
     ("--model", "model.json", _model_json(mass=["x"] * 100),
-     "mass entries must be non-negative numbers"),
+     "field 'mass': expected a number, got \"x\""),
     ("--config", "config.json", json.dumps({"w1": "a"}),
-     "w1 must be a number"),
+     "field 'w1': expected a number, got \"a\""),
     ("--catalog", "catalog.json", json.dumps([{**VIDEO, "chunk_duration_s": "x"}]),
-     "entry 0: field 'chunk_duration_s': expected a number"),
+     "entry 0: field 'chunk_duration_s': expected a number, got \"x\""),
     ("--catalog", "catalog.json", json.dumps([{**VIDEO, "ladder_kbps": "abc"}]),
-     "entry 0: field 'ladder_kbps': expected a list of numbers"),
+     "entry 0: field 'ladder_kbps': expected a JSON list, got \"abc\""),
     # Python's json reads NaN and Infinity; they used to fail later in the
     # run, with a message that named neither the file nor the field
     ("--catalog", "catalog.json",
      json.dumps([{**VIDEO, "chunk_duration_s": math.nan}]),
-     "entry 0: video v0: chunk_duration_s must be finite and > 0"),
+     "entry 0: field 'chunk_duration_s': expected a number, got NaN"),
     ("--scripts", "scripts.json", json.dumps({
         "catalog": [{**VIDEO, "chunk_duration_s": math.inf}],
         "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]}]}),
-     "catalog entry 0: video v0: chunk_duration_s must be finite and > 0"),
+     "catalog entry 0: field 'chunk_duration_s': expected a number, got "
+     "Infinity"),
     ("--catalog", "catalog.json",
      json.dumps([{**VIDEO, "ladder_kbps": [750, math.inf]}]),
-     "entry 0: bitrate ladder levels must be finite and positive"),
+     "entry 0: field 'ladder_kbps': expected a number, got Infinity"),
     ("--model", "model.json", _model_json(mass=[math.nan] + [0.01] * 99),
-     "mass entries must be non-negative numbers"),
+     "field 'mass': expected a number, got NaN"),
     # a JSON true is an int and a Real to isinstance, and float() reads it
     # as 1.0, yet it is no number
     ("--catalog", "catalog.json", json.dumps([{**VIDEO, "ladder_kbps": [True, 1200]}]),
-     "entry 0: field 'ladder_kbps': expected a list of numbers"),
+     "entry 0: field 'ladder_kbps': expected a number, got true"),
     ("--catalog", "catalog.json", json.dumps([{**VIDEO, "chunk_duration_s": True}]),
-     "entry 0: field 'chunk_duration_s': expected a number"),
-    ("--config", "config.json", json.dumps({"w1": True}), "w1 must be a number"),
+     "entry 0: field 'chunk_duration_s': expected a number, got true"),
+    ("--config", "config.json", json.dumps({"w1": True}),
+     "field 'w1': expected a number, got true"),
     ("--model", "model.json", _model_json(mass=[True] + [0] * 99),
-     "mass entries must be non-negative numbers"),
+     "field 'mass': expected a number, got true"),
     ("--scripts", "scripts.json", _scripts_json(videos=[["v0"]]),
-     "script 0: field 'videos': expected a list of video ids"),
+     "script 0: field 'videos': expected a string, got [\"v0\"]"),
     ("--scripts", "scripts.json", _scripts_json(videos="v0"),
-     "script 0: field 'videos': expected a list of video ids"),
+     "script 0: field 'videos': expected a JSON list, got \"v0\""),
     # a string would be read character by character, "35" as (3, 5)
     ("--scripts", "scripts.json",
      _scripts_json(videos=["v0", "v0"], swipe_points="35"),
-     "script 0: field 'swipe_points': expected a list of chunk indices"),
+     "script 0: field 'swipe_points': expected a JSON list, got \"35\""),
     ("--scripts", "scripts.json", _scripts_json(swipe_points=3),
-     "script 0: field 'swipe_points': expected a list of chunk indices"),
+     "script 0: field 'swipe_points': expected a JSON list, got 3"),
 ], ids=["scripts-no-scripts", "script-no-swipe-points", "scripts-list",
         "swipe-point-not-int", "swipe-point-out-of-range", "model-no-mass",
         "catalog-json", "config-json", "scripts-json", "model-json",
@@ -540,6 +543,207 @@ def test_input_error_names_file_and_place(tmp_path, capsys, option, name,
     assert f"{path}: {where}" in capsys.readouterr().err
 
 
+# every field of every JSON input, by kind: "text", "number", "count",
+# "choice" (a config string with fixed values), and "list:<kind>" for a
+# list of that kind of item or of JSON objects ("list:object")
+CATALOG_FIELDS = {"id": "text", "category": "text", "chunk_count": "count",
+                  "chunk_duration_s": "number", "ladder_kbps": "list:number"}
+SCRIPT_FIELDS = {"id": "text", "videos": "list:text",
+                 "swipe_points": "list:count"}
+MODEL_FIELDS = {"category": "text", "mass": "list:number",
+                "trace_count": "count"}
+CONFIG_FIELDS = {**{name: "number" for name in (
+    "w1", "w2", "w3", "w4", "alpha1", "alpha2", "gamma1", "gamma2",
+    "p_th_early", "p_th_long", "t_sleep_s")}, **{name: "count" for name in (
+        "b0_startup_chunks", "n_pred", "window_chunks")},
+    "quality_metric": "choice"}
+# an int too large for a float is a bad number, but a good count
+BAD_VALUES = {"string": "12", "true": True, "null": None, "nan": math.nan,
+              "inf": math.inf, "list": [1], "negative": -1, "fraction": 10.7,
+              "huge": 10 ** 400}
+
+
+def _tried(kind, case):
+    """Whether the BAD_VALUES ``case`` is a bad value for ``kind``."""
+    if kind.startswith("list:"):
+        return case != "list"
+    return not (case == "string" and kind == "text"
+                or case == "fraction" and kind != "count"
+                or case == "huge" and kind != "number")
+
+
+def _bad_values(kind):
+    """(case, value) pairs that a field of ``kind`` must reject: each bad
+    value as the field's value and, in a list of numbers or strings, as its
+    item. A negative item is left out: it meets the constructor's range
+    check, whose message names the item's value, not its field."""
+    item = kind.partition(":")[2]
+    for case, value in BAD_VALUES.items():
+        if _tried(kind, case):
+            yield case, value
+        if item not in ("", "object") and case != "negative" and _tried(
+                item, case):
+            yield f"item-{case}", [value]
+
+
+def _bad_input_cases():
+    """(option, label, field, case, data) for every bad, missing or unknown
+    field of every input; the bad field sits in the second entry or script,
+    which the error names."""
+    video = {**VIDEO, "id": "v1"}
+    script = {"id": "s1", "videos": ["v0"], "swipe_points": [3]}
+    model = json.loads(_model_json())
+
+    def catalog(entry):
+        return [VIDEO, entry]
+
+    def scripts(entry=script, top=None, catalog_entry=None):
+        return {"catalog": [VIDEO] + ([catalog_entry] if catalog_entry else []),
+                "scripts": [{**script, "id": "s0"}, entry], **(top or {})}
+
+    def with_field(obj, field, value):
+        if field == "mass" and isinstance(value, list) and len(value) == 1:
+            value = value + [0.01] * 99
+        return {**obj, field: value}
+
+    for field, kind in CATALOG_FIELDS.items():
+        for case, value in _bad_values(kind):
+            bad = with_field(video, field, value)
+            yield "--catalog", "entry 1", field, case, catalog(bad)
+            yield ("--scripts", "catalog entry 1", field, case,
+                   scripts(catalog_entry=bad))
+    for field, kind in SCRIPT_FIELDS.items():
+        for case, value in _bad_values(kind):
+            yield ("--scripts", "script 1", field, case,
+                   scripts(with_field(script, field, value)))
+    for field in ("catalog", "scripts"):
+        for case, value in _bad_values("list:object"):
+            yield "--scripts", None, field, case, scripts(top={field: value})
+    for field, kind in MODEL_FIELDS.items():
+        for case, value in _bad_values(kind):
+            yield "--model", None, field, case, with_field(model, field, value)
+    for field, kind in CONFIG_FIELDS.items():
+        for case, value in _bad_values(kind):
+            yield "--config", None, field, case, {field: value}
+    for field in CATALOG_FIELDS:
+        yield "--catalog", "entry 1", field, "missing", catalog(
+            {k: v for k, v in video.items() if k != field})
+    for field in SCRIPT_FIELDS:
+        yield "--scripts", "script 1", field, "missing", scripts(
+            {k: v for k, v in script.items() if k != field})
+    for field in ("catalog", "scripts"):
+        yield "--scripts", None, field, "missing", {
+            k: v for k, v in scripts().items() if k != field}
+    for field in MODEL_FIELDS:
+        yield "--model", None, field, "missing", {
+            k: v for k, v in model.items() if k != field}
+    for option, label, data in (
+            ("--catalog", "entry 1", catalog({**video, "bogus": 1})),
+            ("--scripts", "catalog entry 1",
+             scripts(catalog_entry={**video, "bogus": 1})),
+            ("--scripts", "script 1", scripts({**script, "bogus": 1})),
+            ("--scripts", None, scripts(top={"bogus": 1})),
+            ("--model", None, {**model, "bogus": 1}),
+            ("--config", None, {"bogus": 1})):
+        yield option, label, "bogus", "unknown", data
+
+
+BAD_INPUT_CASES = list(_bad_input_cases())
+
+
+@pytest.mark.parametrize(
+    "option, label, field, case, data", BAD_INPUT_CASES,
+    ids=[f"{option[2:]}-{label or 'top'}-{field}-{case}".replace(" ", "-")
+         for option, label, field, case, _ in BAD_INPUT_CASES])
+def test_every_bad_json_field_names_file_entry_and_field(
+        tmp_path, capsys, option, label, field, case, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                   "--n-scripts", "1", "--n-traces", "1", "--duration", "10",
+                   option, str(path), "--out", str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option[2:]} {path}: ")
+    assert err.count("\n") == 1
+    if label:
+        assert f": {label}: " in err
+    assert re.search(rf"\b{field}\b", err)
+
+
+def test_bad_input_table_covers_every_field():
+    covered = {(option, field) for option, _, field, _, _ in BAD_INPUT_CASES}
+    for option, names in (("--catalog", CATALOG_FIELDS),
+                          ("--scripts", {**CATALOG_FIELDS, **SCRIPT_FIELDS,
+                                         "catalog": 0, "scripts": 0}),
+                          ("--model", MODEL_FIELDS),
+                          ("--config", CONFIG_FIELDS)):
+        assert {(option, name) for name in names} <= covered
+    # the rejected probes that the unified readers replaced: numeric
+    # strings, non-string ids and categories, nulls and unknown fields
+    cases = {(field, case) for _, _, field, case, _ in BAD_INPUT_CASES}
+    for probe in (("chunk_count", "string"), ("chunk_duration_s", "string"),
+                  ("swipe_points", "item-string"), ("trace_count", "string"),
+                  ("id", "list"), ("id", "null"), ("category", "true"),
+                  ("category", "list"), ("chunk_count", "null"),
+                  ("swipe_points", "item-list"), ("bogus", "unknown")):
+        assert probe in cases
+
+
+@pytest.mark.parametrize("option", ["--catalog", "--scripts"])
+def test_repeated_video_id_names_file_entry_and_id(tmp_path, capsys, option):
+    # only the last of two v0 entries used to load, so a replay of the
+    # written scripts.json ran other videos than the run it came from
+    entries = [{**VIDEO, "chunk_count": 10}, {**VIDEO, "id": "v1"},
+               {**VIDEO, "chunk_count": 30}]
+    data = entries if option == "--catalog" else {
+        "catalog": entries,
+        "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                   "--n-scripts", "1", "--n-traces", "1", "--duration", "10",
+                   option, str(path), "--out", str(tmp_path / "out")) == 1
+    label = "entry" if option == "--catalog" else "catalog entry"
+    assert capsys.readouterr().err == (
+        f"error: {option[2:]} {path}: {label} 2: repeated video id 'v0'\n")
+
+
+@pytest.mark.parametrize("option, message", [
+    ("--catalog", "entry 1: no behavior traces for category 'zzz'"),
+    ("--scripts", "script 1: no retention model for category 'zzz'"),
+], ids=["catalog", "scripts"])
+def test_category_without_behavior_names_file_and_item(
+        tmp_path, capsys, option, message):
+    entries = [VIDEO, {**VIDEO, "id": "v1", "category": "zzz"}]
+    data = entries if option == "--catalog" else {
+        "catalog": entries,
+        "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]},
+                    {"id": "s1", "videos": ["v0", "v1"],
+                     "swipe_points": [3, 3]}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    for cmd in ("run", "compare"):
+        assert run_cli(cmd, "--strategy", "fixb", "--scenario", "high",
+                       "--duration", "10", option, str(path),
+                       "--out", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {option[2:]} {path}: {message}\n")
+
+
+def test_one_model_serves_every_scripted_category(tmp_path):
+    # a --model covers every category, so no behavior is needed for zzz
+    scripts = tmp_path / "scripts.json"
+    scripts.write_text(json.dumps({
+        "catalog": [{**VIDEO, "category": "zzz"}],
+        "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]}]}))
+    model = tmp_path / "model.json"
+    model.write_text(_model_json())
+    assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                   "--n-traces", "1", "--duration", "10", "--scripts",
+                   str(scripts), "--model", str(model),
+                   "--out", str(tmp_path / "out")) == 0
+
+
 def test_integral_counts_still_load(tmp_path):
     # 12 and 12.0 are the same JSON number; so are the swipe points
     catalog = tmp_path / "catalog.json"
@@ -555,6 +759,10 @@ def test_integral_counts_still_load(tmp_path):
     model.write_text(_model_json(trace_count=2.0))
     assert cli._read_input("model", model, model_from_dict,
                            dict).trace_count == 2
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"b0_startup_chunks": 2.0}))
+    b0 = cli._load_config(config).b0_startup_chunks
+    assert b0 == 2 and type(b0) is int
     assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
                    "--n-traces", "1", "--duration", "60", "--scripts",
                    str(scripts), "--out", str(tmp_path / "out")) == 0

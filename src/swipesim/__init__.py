@@ -31,7 +31,9 @@ from .strategy import (
     PlayerView,
     Sleep,
     StrategyContext,
+    SwipeProfile,
     make_strategy,
+    swipe_profile,
 )
 from .throughput import Regime, ThroughputHistory, classify_regime, min_smooth_throughput
 from .trace_io import (

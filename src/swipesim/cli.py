@@ -174,15 +174,20 @@ def _catalog_to_dicts(videos) -> list[dict]:
 
 
 def _scripts(data, behavior=None) -> list[SessionScript]:
-    """The scripts; if ``behavior`` is given, each video's category has
-    traces in it to build the category's retention model from."""
+    """The scripts, each with a unique id; if ``behavior`` is given, each
+    video's category has traces in it to build its retention model from."""
     catalog, scripts = json_fields(data, ("catalog", "scripts"))
     by_id = {spec.id: spec for spec in
              _catalog(json_list(catalog, "catalog"), "catalog entry")}
+    seen = set()
 
     def script(entry) -> SessionScript:
         script_id, ids, points = json_fields(
             entry, ("id", "videos", "swipe_points"))
+        script_id = json_text(script_id, "id")
+        if script_id in seen:
+            raise ValueError(f"repeated script id {script_id!r}")
+        seen.add(script_id)
         ids = json_list(ids, "videos", json_text)
         unknown = [vid for vid in ids if vid not in by_id]
         if unknown:
@@ -193,7 +198,7 @@ def _scripts(data, behavior=None) -> list[SessionScript]:
             raise ValueError(
                 f"no retention model for category {lacking[0]!r}")
         return SessionScript(
-            script_id=json_text(script_id, "id"),
+            script_id=script_id,
             videos=tuple(by_id[vid] for vid in ids),
             swipe_points=tuple(json_list(points, "swipe_points", json_count)))
 

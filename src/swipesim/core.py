@@ -38,10 +38,6 @@ class BitrateLadder:
     def lowest(self) -> int:
         return self.levels[0]
 
-    @property
-    def highest(self) -> int:
-        return self.levels[-1]
-
     def __contains__(self, bitrate) -> bool:
         return bitrate in self.levels
 

@@ -36,7 +36,7 @@ from typing import Mapping, Optional, Sequence, Union
 from . import metrics
 from .core import SessionConfig, VideoSpec
 from .retention import RetentionModel, derive_thresholds, swipe_cdf
-from .strategy import Download, PlayerView, Sleep, StrategyContext
+from .strategy import Download, PlayerView, Sleep, StrategyContext, swipe_profile
 from .throughput import ThroughputHistory, min_smooth_throughput
 from .trace_io import ThroughputTrace, download_finish_time
 
@@ -191,8 +191,7 @@ def sample_script(script_id: str, videos: Sequence[VideoSpec],
 def _video_profile(model: RetentionModel, chunk_count: int,
                    p_th_early: float, p_th_long: float):
     thresholds = derive_thresholds(model, chunk_count, p_th_early, p_th_long)
-    cdf = swipe_cdf(model, chunk_count)
-    return thresholds, cdf
+    return thresholds, swipe_profile(swipe_cdf(model, chunk_count))
 
 
 def _model_for(model, category: str) -> RetentionModel:
@@ -236,12 +235,12 @@ class _Simulation:
         self.history = ThroughputHistory(config.window_chunks)
         self.views: list[PlayerView] = []
         for i, spec in enumerate(script.videos):
-            thresholds, cdf = _video_profile(
+            thresholds, swipe = _video_profile(
                 _model_for(model, spec.category), spec.chunk_count,
                 config.p_th_early, config.p_th_long)
             self.views.append(PlayerView(
                 spec=spec, video_index=i, downloaded=0,
-                thresholds=thresholds, swipe_cdf=cdf))
+                thresholds=thresholds, swipe=swipe))
         self.timeline: Optional[list] = [] if record_timeline else None
         self._ctx = StrategyContext(
             players=[], buffered=0, lead=0.0, c_pred=None, c_ave=None,

@@ -11,6 +11,10 @@ first chunk itself. Playback of the current video waits for min(b0, K)
 chunks, so every strategy fetches those before it sleeps, whatever its own
 target: the engine rejects a sleep while the video on screen waits.
 
+A strategy reads the retention model only through a player's thresholds
+and its :class:`SwipeProfile`, which the engine builds once per retention
+model and video length: no decision redoes arithmetic on the swipe cdf.
+
 A strategy must stay homogeneous in bandwidth and time: no constant in
 kbps or seconds, only ratios. Scaling every rate, or every time, by a power
 of two must leave its decisions alone, as ``TestBandwidthScale`` and
@@ -131,6 +135,29 @@ _SLEEP = Sleep()
 Action = Union[Download, Sleep]
 
 
+class SwipeProfile(NamedTuple):
+    """What the strategies read from a video's swipe cdf. At index k - 1,
+    ``reach`` holds the probability of watching chunk k (1 - cdf[k - 2], or
+    1 for k = 1) and ``imminent`` whether the swipe hazard at chunk k, the
+    chance of a swipe there once it is reached, passes IMMINENT_HAZARD."""
+
+    cdf: tuple[float, ...]
+    reach: tuple[float, ...]
+    imminent: tuple[bool, ...]
+    retention_cap: int
+
+
+def swipe_profile(cdf) -> SwipeProfile:
+    """The :class:`SwipeProfile` of a swipe cdf. A chunk that no viewer
+    reaches counts as imminent: everyone has swiped by then."""
+    cdf = tuple(cdf)
+    before = (0.0, *cdf)[:len(cdf)]
+    reach = tuple([1.0 - b for b in before])
+    imminent = tuple([r <= 0.0 or (m - b) / r > IMMINENT_HAZARD
+                      for m, b, r in zip(cdf, before, reach)])
+    return SwipeProfile(cdf, reach, imminent, pdas_retention_cap(cdf))
+
+
 @dataclass(slots=True)
 class PlayerView:
     """One player's download record, read by strategy decisions.
@@ -138,37 +165,23 @@ class PlayerView:
     ``downloaded`` counts the landed chunks, a prefix of the video, and
     ``last_bitrate`` is the rung of the latest; during a session the engine
     updates these two in place and nothing else. The playhead is not a
-    player's record: :class:`StrategyContext` holds it. ``chunk_count`` and
-    ``ladder`` are copied from ``spec`` on construction. ``retention_cap``
-    is :func:`pdas_retention_cap` of ``swipe_cdf``, also set on
-    construction. ``complete`` and ``next_needed`` stay properties of
-    ``downloaded``, so they follow any change to it; the deciders, which
-    run once per decision, read ``downloaded`` and ``chunk_count``
-    directly instead.
+    player's record: :class:`StrategyContext` holds it. ``swipe`` is shared
+    by every view of the same retention model and video length.
+    ``chunk_count`` and ``ladder`` are copied from ``spec`` on construction.
     """
 
     spec: VideoSpec
     video_index: int
     downloaded: int
     thresholds: RetentionThresholds
-    swipe_cdf: tuple[float, ...]
+    swipe: SwipeProfile
     last_bitrate: Optional[int] = None
     chunk_count: int = field(init=False, repr=False, compare=False)
     ladder: BitrateLadder = field(init=False, repr=False, compare=False)
-    retention_cap: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.chunk_count = self.spec.chunk_count
         self.ladder = self.spec.ladder
-        self.retention_cap = pdas_retention_cap(self.swipe_cdf)
-
-    @property
-    def next_needed(self) -> int:
-        return self.downloaded + 1
-
-    @property
-    def complete(self) -> bool:
-        return self.downloaded >= self.chunk_count
 
 
 @dataclass(slots=True)
@@ -242,20 +255,14 @@ def _current_demand(ctx: StrategyContext) -> float:
 def _swipe_imminent(ctx: StrategyContext) -> bool:
     """Whether a swipe off the current video is the likely next event.
 
-    The conditional swipe hazard at the playhead chunk, from the retention
-    model, compared against the majority-outcome cutoff. While the hazard
-    is high the bandwidth reserves that protect the swipe transition stay
-    engaged; once the viewer is in a committed stretch they are released.
+    The swipe profile's hazard test at the playhead chunk, against the
+    majority-outcome cutoff. While the hazard is high the bandwidth reserves
+    that protect the swipe transition stay engaged; once the viewer is in a
+    committed stretch they are released.
     """
     cur = ctx.players[0]
     k = min(max(cur.downloaded - ctx.buffered + 1, 1), cur.chunk_count)
-    cdf = cur.swipe_cdf
-    before = cdf[k - 2] if k >= 2 else 0.0
-    remaining = 1.0 - before
-    if remaining <= 0.0:
-        return True
-    hazard = (cdf[k - 1] - before) / remaining
-    return hazard > IMMINENT_HAZARD
+    return cur.swipe.imminent[k - 1]
 
 
 def dtaap_bitrate(ctx: StrategyContext, player_index: int = 0) -> int:
@@ -372,8 +379,8 @@ def networkbased_decide(ctx: StrategyContext) -> Action:
 
 def pdas_retention_cap(swipe_cdf) -> int:
     """pdas_lite's buffer cap for a video: the largest chunk index the user
-    survives past with probability > 0.5, or 1 if there is none. Fixed per
-    video, so :class:`PlayerView` computes it once, when the view is built.
+    survives past with probability > 0.5, or 1 if there is none; part of
+    the video's :class:`SwipeProfile`, so computed once per model and K.
     A swipe cdf never decreases, so the chunks that pass form a prefix and
     the scan stops at the first one that fails."""
     cap = 1
@@ -382,10 +389,6 @@ def pdas_retention_cap(swipe_cdf) -> int:
             break
         cap = k
     return cap
-
-
-def _reach_probability(p: PlayerView, k: int) -> float:
-    return 1.0 if k <= 1 else 1.0 - p.swipe_cdf[k - 2]
 
 
 def pdas_lite_decide(ctx: StrategyContext) -> Action:
@@ -400,12 +403,12 @@ def pdas_lite_decide(ctx: StrategyContext) -> Action:
         n = p.downloaded
         if n >= p.chunk_count:
             continue
-        cap = p.retention_cap
+        cap = p.swipe.retention_cap
         if j == 0:
             play_need = n - ctx.buffered + 1
             cap = max(cap, play_need, ctx.config.b0_startup_chunks)
         if n < cap:
-            weighted = ctx.c_ave * _reach_probability(p, n + 1)
+            weighted = ctx.c_ave * p.swipe.reach[n]
             return Download(p.video_index, p.ladder.match(weighted),
                             threshold=cap)
     return _SLEEP

@@ -14,7 +14,8 @@ import math
 from swipesim.core import chunk_kbit
 from swipesim.metrics import total_kilobits
 from swipesim.retention import derive_thresholds, swipe_cdf
-from swipesim.strategy import Download, PlayerView, Sleep, StrategyContext
+from swipesim.strategy import (Download, PlayerView, Sleep, StrategyContext,
+                               swipe_profile)
 
 EVENT_ORDER = {"dl_start": 0, "dl_done": 1, "play": 2, "swipe": 3,
                "sleep": 4, "end": 5}
@@ -32,7 +33,8 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
     n = len(videos)
     profiles = [(derive_thresholds(model, v.chunk_count, config.p_th_early,
                                    config.p_th_long),
-                 swipe_cdf(model, v.chunk_count)) for v in videos]
+                 swipe_profile(swipe_cdf(model, v.chunk_count)))
+                for v in videos]
     downloaded = [[] for _ in range(n)]
     rebuffer = {}
     events = []
@@ -73,10 +75,10 @@ def brute_force_session(script, bandwidth_kbps, strategy, config, model):
         hi = min(cur + config.n_pred, n)
         for i in range(cur, hi):
             ndl = len(downloaded[i])
-            th, cdf = profiles[i]
+            th, swipe = profiles[i]
             views.append(PlayerView(spec=videos[i], video_index=i,
                                     downloaded=ndl, thresholds=th,
-                                    swipe_cdf=cdf,
+                                    swipe=swipe,
                                     last_bitrate=downloaded[i][-1] if ndl else None))
         lad0 = views[0].spec.ladder
         lad1 = views[1].spec.ladder if len(views) > 1 else lad0

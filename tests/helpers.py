@@ -1,7 +1,7 @@
 """Shared builders for strategy-context fixtures."""
 from swipesim.core import BitrateLadder, SessionConfig, VideoSpec
 from swipesim.retention import RetentionThresholds
-from swipesim.strategy import PlayerView, StrategyContext
+from swipesim.strategy import PlayerView, StrategyContext, swipe_profile
 
 LADDER3 = (750, 1200, 1850)
 
@@ -19,7 +19,7 @@ def make_view(video_index=0, chunk_count=10, downloaded=0, k_min=2,
     return PlayerView(spec=spec, video_index=video_index,
                       downloaded=downloaded,
                       thresholds=RetentionThresholds(k_min, k_early, k_long),
-                      swipe_cdf=tuple(swipe_cdf))
+                      swipe=swipe_profile(swipe_cdf))
 
 
 def make_ctx(players=None, c_pred=2000.0, c_ave=2000.0, c_min=1500.0,

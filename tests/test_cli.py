@@ -708,6 +708,20 @@ def test_repeated_video_id_names_file_entry_and_id(tmp_path, capsys, option):
         f"error: {option[2:]} {path}: {label} 2: repeated video id 'v0'\n")
 
 
+def test_repeated_script_id_names_file_script_and_id(tmp_path, capsys):
+    # two s0 scripts used to give two sessions.csv rows with the same keys
+    path = tmp_path / "scripts.json"
+    path.write_text(json.dumps({
+        "catalog": [VIDEO],
+        "scripts": [{"id": "s0", "videos": ["v0"], "swipe_points": [3]},
+                    {"id": "s0", "videos": ["v0"], "swipe_points": [9]}]}))
+    assert run_cli("compare", "--strategy", "fixb", "--scenario", "high",
+                   "--n-traces", "1", "--duration", "10", "--scripts",
+                   str(path), "--out", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == (
+        f"error: scripts {path}: script 1: repeated script id 's0'\n")
+
+
 @pytest.mark.parametrize("option, message", [
     ("--catalog", "entry 1: no behavior traces for category 'zzz'"),
     ("--scripts", "script 1: no retention model for category 'zzz'"),

@@ -24,7 +24,6 @@ def make_video(chunk_count=10, ladder=LADDER):
 class TestBitrateLadder:
     def test_valid(self):
         assert LADDER.lowest == 750
-        assert LADDER.highest == 1850
         assert 1200 in LADDER
         assert 1000 not in LADDER
 

@@ -10,6 +10,7 @@ from helpers import LADDER3, make_ctx, make_view
 from swipesim.core import SessionConfig
 from swipesim.retention import build_model, swipe_cdf
 from swipesim.strategy import (
+    IMMINENT_HAZARD,
     Download,
     Sleep,
     _SLEEP,
@@ -24,6 +25,7 @@ from swipesim.strategy import (
     nextone_decide,
     pdas_lite_decide,
     pdas_retention_cap,
+    swipe_profile,
 )
 from swipesim.trace_io import BehaviorTrace
 
@@ -133,7 +135,7 @@ class TestDtaapDecide:
                 ctx.buffered += 1
                 ctx.lead += 1.0
         assert action == Sleep()
-        assert all(p.complete for p in players)
+        assert all(p.downloaded >= p.chunk_count for p in players)
         assert issued == ([(0, 3), (0, 4), (2, 2), (2, 2)] + [(3, 4)] * 3
                           + [(0, 10)] * 6 + [(1, 10)] * 6 + [(3, 10)] * 6
                           + [(4, 10)] * 6)
@@ -351,12 +353,51 @@ def _cap_by_rule(cdf):
     return cap
 
 
+def _reach_by_rule(cdf, k):
+    """The probability of reaching chunk k, as pdas_lite computed it per
+    download."""
+    return 1.0 if k <= 1 else 1.0 - cdf[k - 2]
+
+
+def _imminent_by_rule(cdf, k):
+    """The conditional swipe hazard test at chunk k, as dtaap computed it per
+    bitrate decision."""
+    before = cdf[k - 2] if k >= 2 else 0.0
+    remaining = 1.0 - before
+    if remaining <= 0.0:
+        return True
+    hazard = (cdf[k - 1] - before) / remaining
+    return hazard > IMMINENT_HAZARD
+
+
+def _check_profile(cdf):
+    """Every chunk's reach and imminent test, and the cap, of
+    ``swipe_profile(cdf)`` equal the rules exactly."""
+    profile = swipe_profile(cdf)
+    assert profile.cdf == tuple(cdf)
+    assert len(profile.reach) == len(profile.imminent) == len(cdf)
+    for k in range(1, len(cdf) + 1):
+        assert profile.reach[k - 1] == _reach_by_rule(cdf, k), (cdf, k)
+        assert profile.imminent[k - 1] is _imminent_by_rule(cdf, k), (cdf, k)
+    assert profile.retention_cap == _cap_by_rule(cdf), cdf
+
+
 class TestPdasRetentionCap:
     def test_hand_made_cdfs(self):
         assert pdas_retention_cap((0.5, 1.0)) == 1       # exactly 0.5 left
         assert pdas_retention_cap((0.1, 0.4, 0.6, 1.0)) == 2
         assert pdas_retention_cap((0.0,) * 9 + (1.0,)) == 9
         assert pdas_retention_cap((1.0,)) == 1
+        # every viewer has swiped by chunk 2, so chunks 3 and 4 take the
+        # hazard test's no-one-left branch: imminent, reached by no one
+        past_certain = (0.3, 1.0, 1.0, 1.0)
+        profile = swipe_profile(past_certain)
+        assert profile.reach == (1.0, 0.7, 0.0, 0.0)
+        assert profile.imminent == (False, True, True, True)
+        assert profile.retention_cap == 1
+        for cdf in [(0.5, 1.0), (0.1, 0.4, 0.6, 1.0), (0.0,) * 9 + (1.0,),
+                    (1.0,), past_certain]:
+            _check_profile(cdf)
 
     def test_per_video_cap_matches_rule_on_random_models(self):
         rng = random.Random(211)
@@ -375,7 +416,8 @@ class TestPdasRetentionCap:
                 want = _cap_by_rule(cdf)
                 assert pdas_retention_cap(cdf) == want
                 view = make_view(0, chunk_count=chunk_count, swipe_cdf=cdf)
-                assert view.retention_cap == want
+                assert view.swipe.retention_cap == want
+                _check_profile(cdf)
         # models whose cdf stops a rounding step short of 1 are covered
         assert tails > 0
 
@@ -400,6 +442,7 @@ class TestPdasRetentionCap:
         assert zero_prefixes > 100 and tails > 10
         for cdf in cdfs:
             assert pdas_retention_cap(cdf) == _cap_by_rule(cdf), cdf
+            _check_profile(cdf)
 
 
 class TestActions:
@@ -522,7 +565,7 @@ def test_actions_always_valid(name):
             continue
         player = next(p for p in ctx.players
                       if p.video_index == action.video_index)
-        assert not player.complete
+        assert player.downloaded < player.chunk_count
         assert action.bitrate_kbps in player.ladder.levels
 
 
@@ -538,7 +581,7 @@ def test_sleep_only_when_thresholds_met(name):
         if name == "dtaap":
             if _starved(ctx):
                 # thresholds lifted: sleeping means everything is complete
-                assert all(p.complete for p in ctx.players)
+                assert all(p.downloaded >= p.chunk_count for p in ctx.players)
                 continue
             cur_th = buffer_threshold_current(ctx)
             nxt_th = [buffer_threshold_next(ctx, j)
@@ -553,9 +596,9 @@ def test_sleep_only_when_thresholds_met(name):
             b_c, b_n = NETWORK_REGIME_THRESHOLDS[regime]
             cur_th, nxt_th = b_c, [b_n] * (len(ctx.players) - 1)
         cur = ctx.players[0]
-        assert cur.complete or ctx.buffered >= cur_th
+        assert cur.downloaded >= cur.chunk_count or ctx.buffered >= cur_th
         for p, th in zip(ctx.players[1:], nxt_th):
-            assert p.complete or p.downloaded >= th
+            assert p.downloaded >= p.chunk_count or p.downloaded >= th
 
 
 def test_dtaap_step_moves_at_most_one_level():
@@ -565,7 +608,7 @@ def test_dtaap_step_moves_at_most_one_level():
         if ctx.rebuffer_flag:
             continue
         cur = ctx.players[0]
-        if cur.complete:
+        if cur.downloaded >= cur.chunk_count:
             continue
         ladder = cur.ladder
         bitrate = dtaap_bitrate(ctx, 0)
